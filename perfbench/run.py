@@ -32,12 +32,15 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
-#: A shared machine can switch between two speeds about 1.5x apart, for
-#: seconds or minutes at a time, so set-ups and loads are spread through the
-#: run in cycles: each cycle builds, saves and loads the index, and the first
-#: then answers the queries.  setup_s is the median set-up and load_s the
-#: fastest load.
-CYCLES = 3
+#: A shared machine can run slow for seconds or minutes at a time, so a run
+#: is split into cycles (``Workload.cycles``) that each build, save and load
+#: the index and then answer the query list, wrapping round, until their
+#: share of ``--seconds`` is over.  Slow spells only ever add time, so a
+#: query's time is the fastest of its answers in the run and ``load_s`` the
+#: fastest load; ``setup_s`` is the median set-up.
+LOADS_PER_CYCLE = 2
+#: Set-ups, and loads with and without verification, in the traced run.
+TRACED_REPEATS = 3
 #: p99 needs at least ten samples beyond it.
 MIN_QUERIES = 1000
 #: Queries per run that are also checked against the brute-force oracle.
@@ -45,8 +48,8 @@ ORACLE_SAMPLE = 4
 #: Text bytes built under tracemalloc for the heap split (the full text would
 #: need several GB of allocation records).
 HEAP_PREFIX = 50_000
-#: Share of ``--seconds`` the traced run spends on untraced queries; the same
-#: queries are then replayed traced.
+#: Share of ``--seconds`` the traced run spends on untraced queries, before
+#: one traced pass over the query list.
 TRACED_UNTRACED_SHARE = 0.4
 
 STRATEGIES = ("psv-nsv", "cmin")
@@ -130,21 +133,32 @@ class Ops:
                 self.notes.append(what)
 
 
+#: Marks a query whose answers have not been checked yet.
+_UNCHECKED = object()
+
+
 @dataclass
 class QueryRun:
-    """Per-strategy timings and outcomes of answering one query list."""
+    """Answers to a list of ``size`` queries, each asked one or more times."""
 
-    queries: list = field(default_factory=list)
-    seconds: dict = field(default_factory=lambda: {s: [] for s in STRATEGIES})
-    contexts: dict = field(default_factory=lambda: dict.fromkeys(STRATEGIES, 0))
-    occurrences: int = 0
-    counts: dict = field(default_factory=lambda: {
-        s: dict.fromkeys(("rmq_calls", "psv_calls", "nsv_calls"), 0) for s in STRATEGIES
-    })
+    size: int
+    answers: int = 0  # per strategy
+    best: dict = field(init=False)  # strategy -> each query's fastest answer, s
+    seconds: dict = field(init=False)  # strategy -> time of every answer, s
+    contexts: dict = field(init=False)  # strategy -> one answer per query
+    occurrences: int = 0  # one answer per query
+    counts: dict = field(init=False)
+
+    def __post_init__(self):
+        self.best = {s: [math.inf] * self.size for s in STRATEGIES}
+        self.seconds = dict.fromkeys(STRATEGIES, 0.0)
+        self.contexts = dict.fromkeys(STRATEGIES, 0)
+        self.counts = {s: dict.fromkeys(("rmq_calls", "psv_calls", "nsv_calls"), 0)
+                       for s in STRATEGIES}
 
     @property
     def wall(self) -> float:
-        return sum(sum(v) for v in self.seconds.values())
+        return sum(self.seconds.values())
 
 
 class Bench:
@@ -156,12 +170,14 @@ class Bench:
         self.cp = cpmatch
         self.w = workload
         self.seed = seed
+        self.shrink = shrink
         self.raw = workload.text(seed, shrink)
         self.ops = Ops()
         self._rounds = query_rounds
         self.tracer = None
         self.ix = None
         self.blob = b""
+        self._verified = None  # per query: its checked answer, None if it failed
 
     # -- timed phases -----------------------------------------------------
 
@@ -206,24 +222,33 @@ class Bench:
                             f"load {rep}: re-saved bytes differ")
         return times
 
-    def query_list(self, seconds: float, min_queries: int) -> QueryRun:
-        """Whole query rounds until ``seconds`` have passed, untraced."""
+    def query_list(self, min_queries: int) -> list:
+        """The fewest whole query rounds holding at least ``min_queries``."""
         rounds = self._rounds(self.w, self.raw, self.ix.text, self.seed)
-        run = QueryRun()
-        deadline = time.perf_counter() + seconds
-        while time.perf_counter() < deadline or len(run.queries) < min_queries:
-            for q in next(rounds):
-                self._answer(len(run.queries), q, run, count=False)
-                run.queries.append(q)
-        return run
+        queries = []
+        while not queries or len(queries) < min_queries:
+            queries += next(rounds)
+        self._verified = [_UNCHECKED] * len(queries)
+        return queries
 
-    def replay(self, queries: list, count: bool) -> QueryRun:
-        run = QueryRun(queries=list(queries))
-        for qi, q in enumerate(queries):
-            self._answer(qi, q, run, count)
-        return run
+    def answer(self, queries: list, run: QueryRun, until: float,
+               min_answers: int = 0, count: bool = False) -> None:
+        """Answer ``queries`` in turn, wrapping round, until ``until`` has
+        passed and ``run`` holds at least ``min_answers`` answers a strategy.
 
-    def _answer(self, qi: int, q, run: QueryRun, count: bool) -> None:
+        A query's first answers are checked against independent paths; every
+        later answer must equal the one those checks passed.
+        """
+        while time.perf_counter() < until or run.answers < min_answers:
+            qi = run.answers % run.size
+            q = queries[qi]
+            results = self._answer(qi, q, run, count)
+            if self._verified[qi] is _UNCHECKED:
+                self._check(qi, q, results)
+            else:
+                self._recheck(qi, q, results)
+
+    def _answer(self, qi: int, q, run: QueryRun, count: bool) -> dict:
         cp = self.cp
         order = STRATEGIES if qi % 2 == 0 else STRATEGIES[::-1]
         results = {}
@@ -238,18 +263,28 @@ class Bench:
                 results[name] = cp.query(self.ix, q.codes, q.ell, strategy, stats)
             except Exception as exc:  # a raising query is a failed operation
                 results[name] = exc
-            run.seconds[name].append(time.perf_counter() - t0)
+            took = time.perf_counter() - t0
+            run.seconds[name] += took
+            run.best[name][qi] = min(run.best[name][qi], took)
             self._traced(False)
             if self.tracer is not None:
                 self.tracer.query_id = -1
             if count:
                 for key, total in run.counts[name].items():
                     run.counts[name][key] = total + getattr(stats, key)
-        self._check(qi, q, results, run)
+        if run.answers < run.size:  # the query's first answers in this run
+            for name, got in results.items():
+                if not isinstance(got, Exception):
+                    run.contexts[name] += len(got)
+            got = results[STRATEGIES[0]]
+            if not isinstance(got, Exception):
+                run.occurrences += sum(m.count for m in got)
+        run.answers += 1
+        return results
 
     # -- checks (outside every timed region) --------------------------------
 
-    def _check(self, qi: int, q, results: dict, run: QueryRun) -> None:
+    def _check(self, qi: int, q, results: dict) -> None:
         cp = self.cp
         fwd_range = cp.find_pattern_range(self.ix.fwd, q.codes)
         expected = 0 if fwd_range is None else fwd_range[1] - fwd_range[0] + 1
@@ -260,24 +295,34 @@ class Bench:
         answered = not isinstance(a, Exception) and not isinstance(b, Exception)
         # Disagreeing strategies both fail: which one is wrong is unknown.
         agree = not answered or a == b
+        all_ok = answered
         for name, got in results.items():
             what = f"query {qi} {name} P={q.raw!r} ell={q.ell}"
             if isinstance(got, Exception):
                 self.ops.record(False, f"{what}: raised {got!r}")
                 continue
-            run.contexts[name] += len(got)
             ok = agree and sum(m.count for m in got) == expected
             if oracle is not None:
                 found = {m.context: cp.enumerate_occurrences(self.ix, m) for m in got}
                 ok = ok and len(found) == len(got) and {
                     k: sorted(v) for k, v in found.items()} == oracle
             self.ops.record(ok, f"{what}: wrong answer")
-        if answered and agree:
-            run.occurrences += sum(m.count for m in a)
+            all_ok = all_ok and ok
+        self._verified[qi] = a if all_ok else None
+
+    def _recheck(self, qi: int, q, results: dict) -> None:
+        verified = self._verified[qi]
+        for name, got in results.items():
+            what = f"query {qi} {name} P={q.raw!r} ell={q.ell}"
+            if isinstance(got, Exception):
+                self.ops.record(False, f"{what}: raised {got!r}")
+                continue
+            self.ops.record(verified is not None and got == verified,
+                            f"{what}: differs from the verified answer")
 
     # -- descriptors ------------------------------------------------------
 
-    def descriptor(self, run: QueryRun) -> dict:
+    def descriptor(self, queries: list, run: QueryRun) -> dict:
         import numpy
 
         cp = self.cp
@@ -289,8 +334,9 @@ class Bench:
             "sigma": self.ix.text.sigma,
             "r": cp.compute_bwt_runs(self.ix.fwd),
             "r_rev": cp.compute_bwt_runs(self.ix.rev),
-            "queries_per_strategy": len(run.queries),
-            "absent_queries": sum(not q.present for q in run.queries),
+            "queries_per_strategy": len(queries),
+            "answers_per_strategy": run.answers,
+            "absent_queries": sum(not q.present for q in queries),
             "attempted": self.ops.attempted,
             "failed": self.ops.failed,
             "failed_ops_ratio": self.ops.failed / self.ops.attempted,
@@ -314,12 +360,18 @@ def section_sizes(blob: bytes) -> dict[str, int]:
 
 
 def end_to_end(bench: Bench, seconds: float) -> tuple[dict, dict]:
-    setup, load, run = [], [], None
-    for _ in range(CYCLES):
+    start = time.perf_counter()
+    setup, load, run, queries = [], [], None, None
+    cycles = bench.w.cycles
+    for cycle in range(cycles):
         setup += bench.setup(1)
-        load += bench.load(1)
-        if run is None:
-            run = bench.query_list(seconds, MIN_QUERIES)
+        load += bench.load(LOADS_PER_CYCLE)
+        if queries is None:
+            queries = bench.query_list(MIN_QUERIES)
+            run = QueryRun(len(queries))
+        last = cycle == cycles - 1
+        bench.answer(queries, run, until=start + seconds * (cycle + 1) / cycles,
+                     min_answers=len(queries) if last else 0)
     ops = bench.ops
     metrics = {
         "setup_s": statistics.median(setup),
@@ -328,12 +380,16 @@ def end_to_end(bench: Bench, seconds: float) -> tuple[dict, dict]:
         "index_file_bytes_per_text_byte": len(bench.blob) / bench.ix.text.n,
     }
     for s in STRATEGIES:
-        metrics[f"query_p50_us.{s}"] = _percentile(run.seconds[s], 0.50) * 1e6
-        metrics[f"query_p99_us.{s}"] = _percentile(run.seconds[s], 0.99) * 1e6
+        metrics[f"query_p50_us.{s}"] = _percentile(run.best[s], 0.50) * 1e6
+        metrics[f"query_p99_us.{s}"] = _percentile(run.best[s], 0.99) * 1e6
     for s in STRATEGIES:
-        metrics[f"contexts_per_s.{s}"] = run.contexts[s] / sum(run.seconds[s])
+        metrics[f"contexts_per_s.{s}"] = run.contexts[s] / sum(run.best[s])
     metrics["ok_ops_ratio"] = (ops.attempted - ops.failed) / ops.attempted
-    return metrics, bench.descriptor(run)
+    descriptor = bench.descriptor(queries, run)
+    descriptor["setup_s_each"] = setup
+    descriptor["load_s_each"] = load
+    descriptor["elapsed_s"] = time.perf_counter() - start
+    return metrics, descriptor
 
 
 def measure_heap(cp, raw: bytes) -> dict[str, float]:
@@ -379,19 +435,25 @@ def per_layer(bench: Bench, seconds: float) -> tuple[dict, dict]:
     tracer = Tracer()
     bench.tracer = tracer
     with tracer:
-        bench.setup(CYCLES)
-        parse = bench.load(CYCLES, verify=False)
-        verify = bench.load(CYCLES, verify=True)
+        bench.setup(TRACED_REPEATS)
+        parse = bench.load(TRACED_REPEATS, verify=False)
+        verify = bench.load(TRACED_REPEATS, verify=True)
     bench.tracer = None
-    plain = bench.query_list(seconds * TRACED_UNTRACED_SHARE, 0)
+    queries = bench.query_list(MIN_QUERIES)
+    nq = len(queries)
+    plain = QueryRun(nq)
+    bench.answer(queries, plain, until=time.perf_counter() + seconds * TRACED_UNTRACED_SHARE,
+                 min_answers=nq)
+    passes = math.ceil(plain.answers / nq)
+    bench.answer(queries, plain, until=0.0, min_answers=passes * nq)  # whole passes
     bench.tracer = tracer
     with tracer:
-        traced = bench.replay(plain.queries, count=True)
+        traced = QueryRun(nq)
+        bench.answer(queries, traced, until=0.0, min_answers=nq, count=True)
     bench.tracer = None
 
     cols = tracer.spans()
     in_query = cols["qid"] >= 0
-    nq = len(traced.queries)
 
     def mask(name: str):
         if name not in tracer.names:
@@ -458,11 +520,14 @@ def per_layer(bench: Bench, seconds: float) -> tuple[dict, dict]:
         "persistence.load_verify_s": min(verify) - min(parse),
         **{f"persistence.section_bytes.{k}": v
            for k, v in section_sizes(bench.blob).items()},
-        "trace_overhead_ratio": traced.wall / plain.wall,
+        # Traced over untraced time of one pass over the query list.
+        "trace_overhead_ratio": traced.wall / (plain.wall / passes),
     }
-    trace_file = HERE / "traces" / f"{bench.w.name}-seed{bench.seed}.npz"
+    # A shrunk text (the self-test's) never overwrites a full-size trace.
+    shrunk = f"-shrink{bench.shrink}" if bench.shrink != 1 else ""
+    trace_file = HERE / "traces" / f"{bench.w.name}-seed{bench.seed}{shrunk}.npz"
     tracer.write(trace_file)
-    descriptor = bench.descriptor(traced)
+    descriptor = bench.descriptor(queries, traced)
     descriptor["trace_file"] = str(trace_file.relative_to(ROOT))
     descriptor["spans"] = len(cols["name"])
     return metrics, descriptor

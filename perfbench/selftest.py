@@ -2,11 +2,12 @@
 
     python3 perfbench/selftest.py
 
-Runs every workload's code path, traced and untraced, on a text 100 times
+Runs every workload's code path, traced and untraced, on a text 25 times
 smaller than the real one, and checks that every metric named in
-``BENCHMARK.json`` is reported with its unit.  Then it corrupts results on
-purpose (a dropped match, a wrong context, a raising query, a damaged
-loaded index) and checks that each is counted as a failed operation.
+``BENCHMARK.json`` is reported with its unit and a value above 0.  Then it
+corrupts results on purpose (a dropped match, a wrong context, a raising
+query, a damaged loaded index) and checks that each is counted as a failed
+operation, and that the tracer refuses a library missing a traced name.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import run  # noqa: E402
 
-SHRINK = 100
+SHRINK = 25
 SECONDS = 0.05
+#: Metrics that can be 0 on a tiny corpus without anything being wrong.
+MAY_BE_ZERO = {"index.emit_boundary_context_calls"}
 
 
 def expect(condition: bool, message: str) -> None:
@@ -50,6 +53,10 @@ def check_metrics(result: dict, declared: list[dict], label: str) -> None:
         expect(got["unit"] == m["unit"], f"{label}: {m['name']} unit {got['unit']}")
         expect(isinstance(got["value"], (int, float)) and math.isfinite(got["value"]),
                f"{label}: {m['name']} value {got['value']!r}")
+        # A 0 means a layer was not traced (or a metric not measured), except
+        # for descriptors that tiny corpora can leave at 0.
+        expect(got["value"] > 0 or m["name"] in MAY_BE_ZERO,
+               f"{label}: {m['name']} is {got['value']!r}, not above 0")
 
 
 def corrupted(cp, workload: str, make, module_name: str = "query") -> dict:
@@ -95,6 +102,28 @@ def damage_loaded_lcp(load_index):
     return bad
 
 
+def check_missing_name_refused() -> None:
+    from tracer import Tracer
+    import cpmatch.index as index
+
+    original = index.extract_context
+    del index.extract_context
+    try:
+        with Tracer():
+            pass
+    except LookupError:
+        pass
+    else:
+        raise AssertionError("tracer installed without cpmatch.index.extract_context")
+    finally:
+        index.extract_context = original
+    import cpmatch.rmq as rmq
+    expect(not hasattr(rmq.RmqStructure.rmq, "__wrapped__")
+           and not hasattr(rmq.partition_interval, "__wrapped__"),
+           "tracer left patches behind after refusing to install")
+    print("[selftest] missing traced name refused", flush=True)
+
+
 def main() -> int:
     cp = run.load_library()
     spec = json.loads((run.ROOT / "BENCHMARK.json").read_text())
@@ -134,6 +163,7 @@ def main() -> int:
                f"{what}: ok_ops_ratio {ok} does not reflect the failures")
         print(f"[selftest] {what}: {result['failed']} of {result['attempted']} "
               "operations counted as failed", flush=True)
+    check_missing_name_refused()
     print("[selftest] PASS")
     return 0
 

@@ -101,12 +101,13 @@ class Tracer:
 
     # -- installation ---------------------------------------------------
 
-    # A name the library no longer has is skipped: its metrics then read 0.
+    # A traced name the library no longer has is an error, so that a renamed
+    # or inlined layer is never reported as taking no time.
 
     def _patch_everywhere(self, module_name: str, attr: str, make) -> None:
         original = getattr(sys.modules[module_name], attr, None)
         if original is None:
-            return
+            raise LookupError(f"perfbench tracer: {module_name}.{attr} is missing")
         replacement = make(original)
         for name, module in list(sys.modules.items()):
             if name != "cpmatch" and not name.startswith("cpmatch."):
@@ -119,7 +120,7 @@ class Tracer:
     def _patch_method(self, cls, attr: str, make) -> None:
         original = cls.__dict__.get(attr)
         if original is None:
-            return
+            raise LookupError(f"perfbench tracer: {cls.__name__}.{attr} is missing")
         self._undo.append((cls, attr, original))
         setattr(cls, attr, make(original))
 
@@ -187,7 +188,11 @@ class Tracer:
         self._reversed = None
 
     def __enter__(self) -> "Tracer":
-        self.install()
+        try:
+            self.install()
+        except BaseException:
+            self.uninstall()
+            raise
         return self
 
     def __exit__(self, *exc) -> None:
