@@ -20,6 +20,7 @@ import json
 import math
 import os
 import platform
+import random
 import resource
 import statistics
 import struct
@@ -32,13 +33,28 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
-#: A shared machine can run slow for seconds or minutes at a time, so a run
-#: is split into cycles (``Workload.cycles``) that each build, save and load
-#: the index and then answer the query list, wrapping round, until their
-#: share of ``--seconds`` is over.  Slow spells only ever add time, so a
-#: query's time is the fastest of its answers in the run and ``load_s`` the
-#: fastest load; ``setup_s`` is the median set-up.
-LOADS_PER_CYCLE = 2
+#: A run is split into ``CYCLES`` cycles.  Each builds and saves the index
+#: once, loads it again and again until ``LOAD_SHARE`` of the cycle's time
+#: is used (at least once), and then answers the query list in whole passes
+#: until the cycle's share of ``--seconds`` is over.  The first pass after
+#: the cycle's last load is a warm-up whose times are dropped.  ``setup_s`` and
+#: ``load_s`` are the median set-up and load, both scaled as below: a load's
+#: time swings by up to 1.5x within a run, and more loads spread over the
+#: run steady their median.
+CYCLES = 3
+LOAD_SHARE = 0.25
+#: A shared machine runs at a speed that drifts by up to 1.5x from one
+#: minute to the next, and every timing of a run moves with it.  So the
+#: benchmark times a fixed yardstick loop (see ``Yardstick``) after every
+#: ``YARD_EVERY`` queries of a pass and scales each query time in the pass by
+#: ``YARD_REFERENCE_S`` over the pass's mean yardstick time: query figures are
+#: in microseconds of a host on which the yardstick takes
+#: ``YARD_REFERENCE_S``.  A query's time is the median of its scaled times.
+#: Set-up and load times are scaled by the median yardstick of the run's
+#: timed passes: right after those steps allocate and free hundreds of MB,
+#: a yardstick reads the host's speed wrongly.
+YARD_EVERY = 25
+YARD_REFERENCE_S = 2.5e-3
 #: Set-ups, and loads with and without verification, in the traced run.
 TRACED_REPEATS = 3
 #: p99 needs at least ten samples beyond it.
@@ -137,20 +153,53 @@ class Ops:
 _UNCHECKED = object()
 
 
+class Yardstick:
+    """A fixed interpreted loop that measures how fast the host runs now.
+
+    It reads a 64 MB array at seeded random positions from interpreted code,
+    as cpmatch's queries read their tables, but runs none of cpmatch's code,
+    so a change to the library never moves it.  The array is larger than a
+    core's cache, so the loop slows, as the queries do, when other work on
+    the host takes the shared cache and memory bandwidth.
+    """
+
+    SIZE = 8_000_000
+    READS = 3_000
+
+    def __init__(self):
+        import numpy
+
+        self._table = numpy.random.default_rng(20101).permutation(self.SIZE)
+        rng = random.Random("perfbench-yardstick")
+        self._reads = [rng.randrange(self.SIZE) for _ in range(self.READS)]
+
+    def measure(self) -> float:
+        """Seconds one pass of the loop takes."""
+        table, total = self._table, 0
+        t0 = time.perf_counter()
+        for i in self._reads:
+            j = int(table[i])
+            total += j if j & 1 else -int(table[j])
+        return time.perf_counter() - t0
+
+
 @dataclass
 class QueryRun:
-    """Answers to a list of ``size`` queries, each asked one or more times."""
+    """Answers to a list of ``size`` queries, asked in whole passes."""
 
     size: int
-    answers: int = 0  # per strategy
-    best: dict = field(init=False)  # strategy -> each query's fastest answer, s
-    seconds: dict = field(init=False)  # strategy -> time of every answer, s
+    passes: int = 0
+    timed_passes: int = 0
+    scaled: dict = field(init=False)  # strategy -> per query, its scaled times, s
+    seconds: dict = field(init=False)  # strategy -> wall time of every answer, s
+    yard: list = field(default_factory=list)  # each timed pass's mean yardstick, s
+    pass_seconds: list = field(default_factory=list)  # each timed pass's scaled total, s
     contexts: dict = field(init=False)  # strategy -> one answer per query
     occurrences: int = 0  # one answer per query
     counts: dict = field(init=False)
 
     def __post_init__(self):
-        self.best = {s: [math.inf] * self.size for s in STRATEGIES}
+        self.scaled = {s: [[] for _ in range(self.size)] for s in STRATEGIES}
         self.seconds = dict.fromkeys(STRATEGIES, 0.0)
         self.contexts = dict.fromkeys(STRATEGIES, 0)
         self.counts = {s: dict.fromkeys(("rmq_calls", "psv_calls", "nsv_calls"), 0)
@@ -159,6 +208,10 @@ class QueryRun:
     @property
     def wall(self) -> float:
         return sum(self.seconds.values())
+
+    def times(self, strategy: str) -> list[float]:
+        """Each query's median scaled time under ``strategy``, s."""
+        return [statistics.median(t) for t in self.scaled[strategy]]
 
 
 class Bench:
@@ -175,6 +228,7 @@ class Bench:
         self.ops = Ops()
         self._rounds = query_rounds
         self.tracer = None
+        self.yardstick = Yardstick()
         self.ix = None
         self.blob = b""
         self._verified = None  # per query: its checked answer, None if it failed
@@ -232,23 +286,41 @@ class Bench:
         return queries
 
     def answer(self, queries: list, run: QueryRun, until: float,
-               min_answers: int = 0, count: bool = False) -> None:
-        """Answer ``queries`` in turn, wrapping round, until ``until`` has
-        passed and ``run`` holds at least ``min_answers`` answers a strategy.
+               timed: bool = True, count: bool = False) -> None:
+        """Answer ``queries`` in whole passes, at least one, until ``until``.
 
         A query's first answers are checked against independent paths; every
-        later answer must equal the one those checks passed.
+        later answer must equal the one those checks passed.  The times of a
+        ``timed`` pass are scaled by the yardstick and kept in ``run``.
         """
-        while time.perf_counter() < until or run.answers < min_answers:
-            qi = run.answers % run.size
-            q = queries[qi]
-            results = self._answer(qi, q, run, count)
+        self._pass(queries, run, timed, count)
+        while time.perf_counter() < until:
+            self._pass(queries, run, timed, count)
+
+    def _pass(self, queries: list, run: QueryRun, timed: bool, count: bool) -> None:
+        took = {s: [0.0] * run.size for s in STRATEGIES}
+        yard = []
+        for qi, q in enumerate(queries):
+            results = self._answer(qi, q, run, took, count)
             if self._verified[qi] is _UNCHECKED:
                 self._check(qi, q, results)
             else:
                 self._recheck(qi, q, results)
+            if qi % YARD_EVERY == YARD_EVERY - 1:
+                yard.append(self.yardstick.measure())
+        run.passes += 1
+        if not timed:
+            return
+        mean_yard = statistics.fmean(yard or [self.yardstick.measure()])
+        scale = YARD_REFERENCE_S / mean_yard
+        for name, pass_times in took.items():
+            for samples, t in zip(run.scaled[name], pass_times):
+                samples.append(t * scale)
+        run.pass_seconds.append(sum(map(sum, took.values())) * scale)
+        run.yard.append(mean_yard)
+        run.timed_passes += 1
 
-    def _answer(self, qi: int, q, run: QueryRun, count: bool) -> dict:
+    def _answer(self, qi: int, q, run: QueryRun, took: dict, count: bool) -> dict:
         cp = self.cp
         order = STRATEGIES if qi % 2 == 0 else STRATEGIES[::-1]
         results = {}
@@ -263,23 +335,21 @@ class Bench:
                 results[name] = cp.query(self.ix, q.codes, q.ell, strategy, stats)
             except Exception as exc:  # a raising query is a failed operation
                 results[name] = exc
-            took = time.perf_counter() - t0
-            run.seconds[name] += took
-            run.best[name][qi] = min(run.best[name][qi], took)
+            took[name][qi] = time.perf_counter() - t0
+            run.seconds[name] += took[name][qi]
             self._traced(False)
             if self.tracer is not None:
                 self.tracer.query_id = -1
             if count:
                 for key, total in run.counts[name].items():
                     run.counts[name][key] = total + getattr(stats, key)
-        if run.answers < run.size:  # the query's first answers in this run
+        if run.passes == 0:  # the query's first answers in this run
             for name, got in results.items():
                 if not isinstance(got, Exception):
                     run.contexts[name] += len(got)
             got = results[STRATEGIES[0]]
             if not isinstance(got, Exception):
                 run.occurrences += sum(m.count for m in got)
-        run.answers += 1
         return results
 
     # -- checks (outside every timed region) --------------------------------
@@ -335,7 +405,8 @@ class Bench:
             "r": cp.compute_bwt_runs(self.ix.fwd),
             "r_rev": cp.compute_bwt_runs(self.ix.rev),
             "queries_per_strategy": len(queries),
-            "answers_per_strategy": run.answers,
+            "passes": run.passes,
+            "timed_passes": run.timed_passes,
             "absent_queries": sum(not q.present for q in queries),
             "attempted": self.ops.attempted,
             "failed": self.ops.failed,
@@ -362,32 +433,37 @@ def section_sizes(blob: bytes) -> dict[str, int]:
 def end_to_end(bench: Bench, seconds: float) -> tuple[dict, dict]:
     start = time.perf_counter()
     setup, load, run, queries = [], [], None, None
-    cycles = bench.w.cycles
-    for cycle in range(cycles):
+    for cycle in range(CYCLES):
         setup += bench.setup(1)
-        load += bench.load(LOADS_PER_CYCLE)
+        load += bench.load(1)
+        while time.perf_counter() < start + seconds * (cycle + LOAD_SHARE) / CYCLES:
+            load += bench.load(1)
         if queries is None:
             queries = bench.query_list(MIN_QUERIES)
             run = QueryRun(len(queries))
-        last = cycle == cycles - 1
-        bench.answer(queries, run, until=start + seconds * (cycle + 1) / cycles,
-                     min_answers=len(queries) if last else 0)
+        bench.answer(queries, run, until=0.0, timed=False)  # warm-up
+        bench.answer(queries, run, until=start + seconds * (cycle + 1) / CYCLES)
     ops = bench.ops
+    scale = YARD_REFERENCE_S / statistics.median(run.yard)
     metrics = {
-        "setup_s": statistics.median(setup),
-        "load_s": min(load),
+        "setup_s": statistics.median(setup) * scale,
+        "load_s": statistics.median(load) * scale,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "index_file_bytes_per_text_byte": len(bench.blob) / bench.ix.text.n,
     }
+    times = {s: run.times(s) for s in STRATEGIES}
     for s in STRATEGIES:
-        metrics[f"query_p50_us.{s}"] = _percentile(run.best[s], 0.50) * 1e6
-        metrics[f"query_p99_us.{s}"] = _percentile(run.best[s], 0.99) * 1e6
+        metrics[f"query_p50_us.{s}"] = _percentile(times[s], 0.50) * 1e6
+        metrics[f"query_p99_us.{s}"] = _percentile(times[s], 0.99) * 1e6
     for s in STRATEGIES:
-        metrics[f"contexts_per_s.{s}"] = run.contexts[s] / sum(run.best[s])
+        metrics[f"contexts_per_s.{s}"] = run.contexts[s] / sum(times[s])
     metrics["ok_ops_ratio"] = (ops.attempted - ops.failed) / ops.attempted
     descriptor = bench.descriptor(queries, run)
     descriptor["setup_s_each"] = setup
     descriptor["load_s_each"] = load
+    descriptor["timed_pass_s"] = run.pass_seconds
+    descriptor["yardstick_s"] = {"median": statistics.median(run.yard),
+                                 "min": min(run.yard), "max": max(run.yard)}
     descriptor["elapsed_s"] = time.perf_counter() - start
     return metrics, descriptor
 
@@ -442,14 +518,11 @@ def per_layer(bench: Bench, seconds: float) -> tuple[dict, dict]:
     queries = bench.query_list(MIN_QUERIES)
     nq = len(queries)
     plain = QueryRun(nq)
-    bench.answer(queries, plain, until=time.perf_counter() + seconds * TRACED_UNTRACED_SHARE,
-                 min_answers=nq)
-    passes = math.ceil(plain.answers / nq)
-    bench.answer(queries, plain, until=0.0, min_answers=passes * nq)  # whole passes
+    bench.answer(queries, plain, until=time.perf_counter() + seconds * TRACED_UNTRACED_SHARE)
     bench.tracer = tracer
     with tracer:
         traced = QueryRun(nq)
-        bench.answer(queries, traced, until=0.0, min_answers=nq, count=True)
+        bench.answer(queries, traced, until=0.0, count=True)
     bench.tracer = None
 
     cols = tracer.spans()
@@ -521,7 +594,7 @@ def per_layer(bench: Bench, seconds: float) -> tuple[dict, dict]:
         **{f"persistence.section_bytes.{k}": v
            for k, v in section_sizes(bench.blob).items()},
         # Traced over untraced time of one pass over the query list.
-        "trace_overhead_ratio": traced.wall / (plain.wall / passes),
+        "trace_overhead_ratio": traced.wall / (plain.wall / plain.passes),
     }
     # A shrunk text (the self-test's) never overwrites a full-size trace.
     shrunk = f"-shrink{bench.shrink}" if bench.shrink != 1 else ""

@@ -144,6 +144,8 @@ def main() -> int:
             expect(result["attempted"] >= 2 * run.MIN_QUERIES or trace,
                    f"{label}: only {result['attempted']} operations")
             check_metrics(result, declared, label)
+            expect(trace or result["descriptor"]["timed_passes"] >= run.CYCLES,
+                   f"{label}: fewer timed passes than cycles")
             if not trace:
                 expect(result["metrics"]["ok_ops_ratio"]["value"] == 1.0,
                        f"{label}: ok_ops_ratio below 1 on a clean run")

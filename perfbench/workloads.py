@@ -23,9 +23,6 @@ class Workload:
     sigma: int
     m_range: tuple[int, int]
     ell_range: tuple[int, int]
-    #: Set-up and load cycles per run (see ``run.py``); smaller texts build
-    #: fast enough for more, which spreads their loads over more of the run.
-    cycles: int
 
     def text(self, seed: int, shrink: int = 1) -> bytes:
         """The workload's raw bytes; ``shrink`` divides the size (self-test)."""
@@ -43,21 +40,21 @@ WORKLOADS = {
             recipe="generate_repetitive(10_000, 19, 0.01, seed): n=2e5, sigma=4; "
                    "queries: substrings m 4..12, ell 0..8",
             base_size=10_000, copies=19, mutation_rate=0.01, sigma=4,
-            m_range=(4, 12), ell_range=(0, 8), cycles=3,
+            m_range=(4, 12), ell_range=(0, 8),
         ),
         Workload(
             name="random-dense",
             recipe="uniform random letters, generate_repetitive(50_000, 0, 0.0, "
                    "seed, sigma=26): n=5e4; queries: substrings m 2..3, ell 1..8",
             base_size=50_000, copies=0, mutation_rate=0.0, sigma=26,
-            m_range=(2, 3), ell_range=(1, 8), cycles=8,
+            m_range=(2, 3), ell_range=(1, 8),
         ),
         Workload(
             name="long-context",
             recipe="generate_repetitive(2_500, 19, 0.1, seed): n=5e4, sigma=4; "
                    "queries: substrings m 4..12, ell 16..64",
             base_size=2_500, copies=19, mutation_rate=0.1, sigma=4,
-            m_range=(4, 12), ell_range=(16, 64), cycles=8,
+            m_range=(4, 12), ell_range=(16, 64),
         ),
     )
 }
