@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import random
+import string
 import sys
 import time
 
@@ -26,6 +27,9 @@ from .rmq import QueryStats
 from .suffixes import compute_bwt_runs
 
 
+_HEX_DIGITS = frozenset(string.hexdigits)
+
+
 def parse_pattern(text: str) -> bytes:
     """Decode a command-line pattern, honouring \\xNN and \\\\ escapes.
 
@@ -40,8 +44,10 @@ def parse_pattern(text: str) -> bytes:
                 out.append(0x5C)
                 i += 2
                 continue
-            if text[i + 1 : i + 2] == "x" and i + 4 <= len(text):
-                out.append(int(text[i + 2 : i + 4], 16))
+            digits = text[i + 2 : i + 4]
+            is_hex = len(digits) == 2 and set(digits) <= _HEX_DIGITS
+            if text[i + 1 : i + 2] == "x" and is_hex:
+                out.append(int(digits, 16))
                 i += 4
                 continue
             raise ValueError(f"bad escape at offset {i}: {text[i:i+4]!r}")
@@ -185,18 +191,52 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_queries(args: argparse.Namespace, ix: CpmIndex):
-    """Yield (codes, ell) pairs from a pattern file or a seeded sampler."""
-    if args.patterns:
-        with open(args.patterns, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
+def _read_pattern_file(path: str) -> list[tuple[bytes, int]]:
+    """(pattern, ell) pairs from PATTERN<TAB>ELL lines.
+
+    Blank lines and lines starting with '#' are skipped.  A malformed line
+    raises ValueError whose message starts with ``path:line:``.
+    """
+    queries = []
+    with open(path, "rb") as fh:
+        for lineno, raw_line in enumerate(fh, start=1):
+            try:
+                line = raw_line.decode("utf-8").rstrip("\r\n")
                 if not line or line.startswith("#"):
                     continue
-                pattern_text, _, ell_text = line.rpartition("\t")
-                codes = encode_pattern(ix.text, parse_pattern(pattern_text))
-                if codes:
-                    yield codes, int(ell_text)
+                pattern_text, tab, ell_text = line.rpartition("\t")
+                if not tab:
+                    raise ValueError("expected PATTERN<TAB>ELL")
+                pattern = parse_pattern(pattern_text)
+                if not pattern:
+                    raise ValueError("pattern must be nonempty")
+                try:
+                    ell = int(ell_text)
+                except ValueError:
+                    raise ValueError(f"context length {ell_text!r} is not an integer")
+                if ell < 0:
+                    raise ValueError("context length must be >= 0")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            queries.append((pattern, ell))
+    return queries
+
+
+def _bench_queries(
+    args: argparse.Namespace,
+    ix: CpmIndex,
+    patterns: list[tuple[bytes, int]] | None,
+):
+    """Yield (codes, ell) pairs from parsed pattern-file lines or a seeded sampler.
+
+    Patterns with a byte outside the index alphabet cannot occur and are
+    skipped.
+    """
+    if patterns is not None:
+        for pattern, ell in patterns:
+            codes = encode_pattern(ix.text, pattern)
+            if codes is not None:
+                yield codes, ell
         return
     rng = random.Random(args.seed)
     for _ in range(args.random):
@@ -204,8 +244,16 @@ def _bench_queries(args: argparse.Namespace, ix: CpmIndex):
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    patterns = None
+    if args.patterns:
+        try:
+            patterns = _read_pattern_file(args.patterns)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     with open(args.index, "rb") as fh:
         ix = load_index(fh)
+    strategy = MappingStrategy(args.strategy)
     r, r_rev, r_max = _run_counts(ix)
     n = ix.text.n
     with open(args.csv, "w", newline="") as out:
@@ -213,20 +261,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
         writer.writerow(
             [
                 "m", "ell", "c", "occ", "wall_s",
-                "rmq_calls", "psv_calls", "nsv_calls",
+                "rmq_calls", "psv_calls", "nsv_calls", "sa_accesses",
                 "r", "r_rev", "r_max", "n",
             ]
         )
-        for codes, ell in _bench_queries(args, ix):
+        for codes, ell in _bench_queries(args, ix, patterns):
             stats = QueryStats()
             t0 = time.perf_counter()
-            matches = query(ix, codes, ell, stats=stats)
+            matches = query(ix, codes, ell, strategy=strategy, stats=stats)
             dt = time.perf_counter() - t0
             writer.writerow(
                 [
                     len(codes), ell, len(matches),
                     sum(m.count for m in matches), f"{dt:.6f}",
                     stats.rmq_calls, stats.psv_calls, stats.nsv_calls,
+                    stats.sa_accesses,
                     r, r_rev, r_max, n,
                 ]
             )
@@ -242,6 +291,13 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
     with open(args.output, "wb") as fh:
         fh.write(blob)
     return 0
+
+
+def _add_strategy_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--strategy", choices=[s.value for s in MappingStrategy],
+        default=MappingStrategy.PSV_NSV.value, help="interval mapping variant",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,10 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument(
         "--enumerate", action="store_true", help="list every occurrence position"
     )
-    p_query.add_argument(
-        "--strategy", choices=("psv-nsv", "cmin"), default="psv-nsv",
-        help="interval mapping variant",
-    )
+    _add_strategy_option(p_query)
     p_query.set_defaults(func=cmd_query)
 
     p_verify = sub.add_parser("verify", help="compare queries against a scan oracle")
@@ -284,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--random", type=int, help="sample this many queries")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--csv", required=True, help="output CSV path")
+    _add_strategy_option(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("gen-corpus", help="emit a repetitive test text")

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .corpus import SENTINEL, Text, padded_symbol, reverse_text
 from .errors import (
     BoundaryPartError,
@@ -97,13 +99,11 @@ def build_index(t: Text) -> CpmIndex:
     """Build both ensembles, the rank-translation array, and rmq tables."""
     fwd = build_ensemble(t)
     rev = build_ensemble(reverse_text(t))
-    n = t.n
-    c_array = [C_UNDEFINED] * (n + 1)
-    for i in range(1, n + 1):
-        start = rev.sa[i]
-        if start != n:
-            c_array[i] = fwd.isa[n - start]
-    return assemble_index(t, fwd, rev, c_array)
+    start = np.asarray(rev.sa)
+    c_array = np.asarray(fwd.isa)[t.n - start]
+    c_array[0] = C_UNDEFINED
+    c_array[start == t.n] = C_UNDEFINED
+    return assemble_index(t, fwd, rev, c_array.tolist())
 
 
 def assemble_index(
@@ -234,8 +234,6 @@ def query(
         raise SentinelInPatternError("pattern contains the terminator symbol")
     if ell < 0:
         raise ValueError("context length must be >= 0")
-    if stats is None:
-        stats = QueryStats()
     m = len(p)
     mapper = map_via_cmin if strategy is MappingStrategy.CMIN else map_via_psv_nsv
 
@@ -251,17 +249,20 @@ def query(
 
     out: list[ContextMatch] = []
     for part in parts:
-        if _context_start(ix, part[0], m, ell, stats) <= 0:
+        try:
+            ds, de = mapper(ix, part, m, ell, stats)
+        except BoundaryPartError:
+            # The mapper found that the left context crosses the text start.
             match = emit_boundary_context(ix, part, m, ell, stats)
             if trace is not None:
                 trace.mapped_ranges.append((match.ds, match.de))
             out.append(match)
             continue
-        ds, de = mapper(ix, part, m, ell, stats)
         if trace is not None:
             trace.mapped_ranges.append((ds, de))
         for sub_lo, sub_hi in partition_interval(ix.rmq_fwd, ds, de, m + 2 * ell, stats):
-            stats.sa_accesses += 1
+            if stats is not None:
+                stats.sa_accesses += 1
             pos = ix.fwd.sa[sub_lo] + ell
             out.append(
                 ContextMatch(

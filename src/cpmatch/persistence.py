@@ -28,6 +28,8 @@ from __future__ import annotations
 import struct
 from typing import BinaryIO
 
+import numpy as np
+
 from .corpus import SENTINEL, Text, reverse_text
 from .errors import (
     BadMagicError,
@@ -47,10 +49,6 @@ _UNDEF_ON_DISK = (1 << 64) - 1
 
 def _pack(values: list[int]) -> bytes:
     return struct.pack(f"<{len(values)}Q", *values)
-
-
-def _unpack(blob: bytes) -> list[int]:
-    return list(struct.unpack(f"<{len(blob) // 8}Q", blob))
 
 
 def save_index(ix: CpmIndex, sink: BinaryIO) -> int:
@@ -115,74 +113,96 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
         table.append((off, size))
         offset += size
 
-    payload = [
-        _unpack(_read_exact(source, size, f"section {idx}"))
+    sections = [
+        np.frombuffer(_read_exact(source, size, f"section {idx}"), dtype="<u8")
         for idx, (_, size) in enumerate(table)
     ]
-    alphabet, symbols, fwd_sa, fwd_isa, fwd_lcp, rev_sa, rev_lcp, c_disk = payload
+    alphabet, symbols, fwd_sa, fwd_isa, fwd_lcp, rev_sa, rev_lcp, c_disk = sections
 
-    if any(not 1 <= b <= 255 for b in alphabet) or alphabet != sorted(set(alphabet)):
+    if _outside(alphabet, 1, 255) or (alphabet[1:] <= alphabet[:-1]).any():
         raise CorruptSectionError("alphabet section is not an ordered byte set")
     if symbols[0] != SENTINEL or symbols[n] != SENTINEL:
         raise CorruptSectionError("text does not start and end with the terminator")
-    if any(not 1 <= c <= sigma for c in symbols[1:n]):
+    if _outside(symbols[1:n], 1, sigma):
         raise CorruptSectionError("text symbol out of alphabet range")
+    if verify:
+        # Suffix array entries index the other arrays from here on.
+        for sa in (fwd_sa, rev_sa):
+            _check_permutation(sa, n)
 
-    byte_for_code = (0, *alphabet)
+    byte_values = alphabet.tolist()
     text = Text(
-        symbols=symbols,
+        symbols=symbols.tolist(),
         n=n,
         sigma=sigma,
-        code_for_byte={b: c for c, b in enumerate(alphabet, start=1)},
-        byte_for_code=byte_for_code,
+        code_for_byte={b: c for c, b in enumerate(byte_values, start=1)},
+        byte_for_code=(0, *byte_values),
     )
     fwd = SuffixEnsemble(
-        sa=[0, *fwd_sa], isa=[0, *fwd_isa], lcp=[0, *fwd_lcp], text=text
+        sa=_padded(fwd_sa), isa=_padded(fwd_isa), lcp=_padded(fwd_lcp), text=text
     )
-    rev_text = reverse_text(text)
-    rev_sa_full = [0, *rev_sa]
+    rev_sa_full = _padded(rev_sa)
     rev = SuffixEnsemble(
         sa=rev_sa_full,
         isa=build_inverse(rev_sa_full),
-        lcp=[0, *rev_lcp],
-        text=rev_text,
+        lcp=_padded(rev_lcp),
+        text=reverse_text(text),
     )
-    c_array = [C_UNDEFINED]
-    c_array.extend(C_UNDEFINED if v == _UNDEF_ON_DISK else v for v in c_disk)
+    c_array = _padded(np.where(c_disk == _UNDEF_ON_DISK, C_UNDEFINED, c_disk))
 
     if verify:
-        _verify_arrays(text, fwd, rev, c_array)
+        _verify_arrays(fwd, rev, sections)
     return assemble_index(text, fwd, rev, c_array)
 
 
+def _padded(values: np.ndarray) -> list[int]:
+    """A 1-based list: the values after a padding zero in slot 0."""
+    out = values.tolist()
+    out.insert(0, 0)
+    return out
+
+
+def _outside(values: np.ndarray, lo: int, hi: int) -> bool:
+    return bool(values.min() < lo or values.max() > hi)
+
+
+def _check_permutation(sa: np.ndarray, n: int) -> None:
+    if _outside(sa, 1, n) or (
+        np.bincount(sa.astype(np.intp), minlength=n + 1)[1:] != 1
+    ).any():
+        raise CorruptSectionError("suffix array is not a permutation of 1..n")
+
+
 def _verify_arrays(
-    text: Text, fwd: SuffixEnsemble, rev: SuffixEnsemble, c_array: list[int]
+    fwd: SuffixEnsemble, rev: SuffixEnsemble, sections: list[np.ndarray]
 ) -> None:
-    n = text.n
-    for ensemble in (fwd, rev):
-        if sorted(ensemble.sa[1:]) != list(range(1, n + 1)):
-            raise CorruptSectionError("suffix array is not a permutation of 1..n")
-        if ensemble.isa != build_inverse(ensemble.sa):
-            raise CorruptSectionError("inverse does not invert the suffix array")
+    # Runs on the on-disk arrays, after both suffix arrays passed
+    # _check_permutation; the reverse inverse was derived on load.
+    _, symbols, fwd_sa, fwd_isa, fwd_lcp, rev_sa, rev_lcp, c_disk = sections
+    n = fwd.text.n
+    ranks = np.arange(1, n + 1, dtype=np.uint64)
+    if (fwd_isa[fwd_sa.astype(np.intp) - 1] != ranks).any():
+        raise CorruptSectionError("inverse does not invert the suffix array")
+    for ensemble, sa, lcp, codes in (
+        (fwd, fwd_sa, fwd_lcp, symbols),
+        (rev, rev_sa, rev_lcp, symbols[::-1]),
+    ):
         if ensemble.lcp != build_lcp(ensemble.text, ensemble.sa, ensemble.isa):
             raise CorruptSectionError("LCP array inconsistent with the text")
-        _check_sorted(ensemble)
-    for i in range(1, n + 1):
-        start = rev.sa[i]
-        expected = C_UNDEFINED if start == n else fwd.isa[n - start]
-        if c_array[i] != expected:
-            raise CorruptSectionError("rank-translation array inconsistent")
+        _check_sorted(sa, lcp, codes)
+    start = rev_sa.astype(np.intp)
+    expected = np.where(start == n, _UNDEF_ON_DISK, fwd_isa[n - start - 1])
+    if (c_disk != expected).any():
+        raise CorruptSectionError("rank-translation array inconsistent")
 
 
-def _check_sorted(e: SuffixEnsemble) -> None:
+def _check_sorted(sa: np.ndarray, lcp: np.ndarray, codes: np.ndarray) -> None:
     # Adjacent suffixes must differ right after their common prefix, with the
     # earlier-ranked one smaller; with verified LCP values this is O(n).
-    n = e.text.n
-    symbols = e.text.symbols
-    for i in range(2, n + 1):
-        a = e.sa[i - 1] + e.lcp[i]
-        b = e.sa[i] + e.lcp[i]
-        left = symbols[a] if a <= n else -1
-        right = symbols[b] if b <= n else -1
-        if left >= right:
-            raise CorruptSectionError("suffix array ranks out of order")
+    # Positions past the text end read as -1.
+    n = len(sa)
+    padded = np.append(codes.astype(np.int64), -1)
+    left = padded[np.minimum(sa[:-1] + lcp[1:], n + 1).astype(np.intp)]
+    right = padded[np.minimum(sa[1:] + lcp[1:], n + 1).astype(np.intp)]
+    if (left >= right).any():
+        raise CorruptSectionError("suffix array ranks out of order")

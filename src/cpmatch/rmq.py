@@ -1,12 +1,16 @@
 """Range-minimum queries, threshold scans, and interval partitioning.
 
 All structures here operate on frozen 1-based integer arrays (slot 0 is
-padding).  The sparse table costs O(n log n) words and answers range minima
-in O(1); the threshold scans run a binary descent over it in O(log n).
+padding).  The sparse table keeps, for every power-of-two width, one packed
+row of 4-byte positions (8-byte only when n >= 2**31) and reads values
+through the base array, about 4 * n * log2(n) bytes in all.  It answers
+range minima in O(1); the threshold scans run a binary descent over it in
+O(log n).
 """
 
 from __future__ import annotations
 
+from array import array as packed_array
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +46,11 @@ class QueryStats:
 class RmqStructure:
     """Sparse-table range minimum over a frozen 1-based integer array.
 
-    Ties resolve to the leftmost position so every answer is deterministic.
-    The input array is kept by reference and must not change afterwards.
+    Row ``k`` holds, for every start ``s``, the position of the leftmost
+    minimum of ``array[s..s + 2**k - 1]``, packed as 4-byte integers (8-byte
+    when n >= 2**31).  Values are read through ``array`` itself, which is
+    kept by reference and must not change afterwards.  Ties resolve to the
+    leftmost position so every answer is deterministic.
     """
 
     def __init__(self, array: list[int]):
@@ -52,37 +59,30 @@ class RmqStructure:
             raise EmptyArrayError("range-minimum structure needs n >= 1")
         self.array = array
         self.n = n
-        vals = np.asarray(array[1:], dtype=np.int64)
-        pos = np.arange(1, n + 1, dtype=np.int64)
-        val_rows = [vals]
-        pos_rows = [pos]
+        typecode = "i" if n < 2**31 else "q"
+        vals = np.asarray(array, dtype=np.int64)
+        row = np.arange(1, n + 1, dtype=typecode)
+        rows = [packed_array(typecode, row.tobytes())]
         width = 2
         while width <= n:
             half = width // 2
             span = n - width + 1
-            lo_v = val_rows[-1][:span]
-            hi_v = val_rows[-1][half:half + span]
-            take_lo = lo_v <= hi_v
-            val_rows.append(np.where(take_lo, lo_v, hi_v))
-            pos_rows.append(
-                np.where(take_lo, pos_rows[-1][:span], pos_rows[-1][half:half + span])
-            )
+            lo = row[:span]
+            hi = row[half:half + span]
+            row = np.where(vals[hi] < vals[lo], hi, lo)
+            rows.append(packed_array(typecode, row.tobytes()))
             width *= 2
-        self._vals = [row.tolist() for row in val_rows]
-        self._pos = [row.tolist() for row in pos_rows]
+        self._pos = rows
 
     def _argmin(self, i: int, j: int) -> int:
         # Uncounted internal lookup over two overlapping power-of-two blocks.
+        # The left block's answer wins ties, which keeps the result leftmost.
         k = (j - i + 1).bit_length() - 1
-        a = i - 1
-        b = j - (1 << k)
-        va = self._vals[k][a]
-        vb = self._vals[k][b]
-        if vb < va:
-            return self._pos[k][b]
-        if va < vb:
-            return self._pos[k][a]
-        return min(self._pos[k][a], self._pos[k][b])
+        row = self._pos[k]
+        pa = row[i - 1]
+        pb = row[j - (1 << k)]
+        array = self.array
+        return pb if array[pb] < array[pa] else pa
 
     def rmq(self, i: int, j: int, stats: QueryStats | None = None) -> int:
         """Leftmost position of the minimum value in ``array[i..j]``."""

@@ -55,10 +55,9 @@ def build_suffix_array(t: Text) -> list[int]:
 
 def build_inverse(sa: list[int]) -> list[int]:
     """Inverse permutation: ``isa[sa[i]] = i``."""
-    isa = [0] * len(sa)
-    for i in range(1, len(sa)):
-        isa[sa[i]] = i
-    return isa
+    isa = np.zeros(len(sa), dtype=np.int64)
+    isa[np.asarray(sa, dtype=np.int64)[1:]] = np.arange(1, len(sa))
+    return isa.tolist()
 
 
 def build_lcp(t: Text, sa: list[int], isa: list[int]) -> list[int]:

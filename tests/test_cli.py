@@ -26,7 +26,7 @@ def test_parse_pattern_escapes():
     assert cli.parse_pattern(r"a\x62c") == b"abc"
     assert cli.parse_pattern(r"\x00\xff") == b"\x00\xff"
     assert cli.parse_pattern(r"\\") == b"\\"
-    for bad in (r"\q", r"\x1", "ā"):
+    for bad in (r"\q", r"\x1", r"\xzz", r"\x+1", "ā"):
         with pytest.raises(ValueError):
             cli.parse_pattern(bad)
 
@@ -201,17 +201,38 @@ def test_bench_random(alabar_files, tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == [
         "m", "ell", "c", "occ", "wall_s",
-        "rmq_calls", "psv_calls", "nsv_calls", "r", "r_rev", "r_max", "n",
+        "rmq_calls", "psv_calls", "nsv_calls", "sa_accesses",
+        "r", "r_rev", "r_max", "n",
     ]
     assert len(rows) == 31
     for row in rows[1:]:
-        assert len(row) == 12
+        assert len(row) == 13
         m, ell, c, occ = map(int, row[:4])
-        rmq, psv, nsv = map(int, row[5:8])
+        rmq, psv, nsv, sa_accesses = map(int, row[5:9])
         assert occ >= c >= 0
         assert rmq <= 6 * c + 8
         assert rmq + psv + nsv <= 6 * c + 8
-        assert int(row[11]) == 17
+        assert sa_accesses >= 1
+        assert int(row[12]) == 17
+    capsys.readouterr()
+
+
+def test_bench_strategy(alabar_files, tmp_path, capsys):
+    _, idx = alabar_files
+    rows = {}
+    for strategy in ("psv-nsv", "cmin"):
+        out_csv = tmp_path / f"{strategy}.csv"
+        args = [
+            "bench", str(idx), "--random", "30", "--seed", "5",
+            "--strategy", strategy, "--csv", str(out_csv),
+        ]
+        assert cli.main(args) == 0
+        with open(out_csv, newline="") as fh:
+            rows[strategy] = list(csv.reader(fh))[1:]
+    # Same queries and answers; only cmin skips the threshold scans.
+    assert [r[:4] for r in rows["cmin"]] == [r[:4] for r in rows["psv-nsv"]]
+    assert all(r[6:8] == ["0", "0"] for r in rows["cmin"])
+    assert any(r[7] != "0" for r in rows["psv-nsv"])
     capsys.readouterr()
 
 
@@ -227,6 +248,30 @@ def test_bench_pattern_file(alabar_files, tmp_path, capsys):
     assert [row[0] for row in rows[1:]] == ["3", "3"]  # zz has no codes
     assert [row[1] for row in rows[1:]] == ["2", "0"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "ala\\x4\t2",  # truncated escape
+        "ala\\xzz\t2",  # non-hex escape
+        "ala\t-1",  # negative ell
+        "ala\ttwo",  # ell not an integer
+        "ala 2",  # no tab
+        "\t2",  # empty pattern
+    ],
+)
+def test_bench_pattern_file_errors(alabar_files, tmp_path, capsys, bad_line):
+    _, idx = alabar_files
+    pats = tmp_path / "patterns.txt"
+    pats.write_text(f"# comment\nala\t2\n{bad_line}\nbar\t0\n")
+    out_csv = tmp_path / "bench.csv"
+    capsys.readouterr()
+    args = ["bench", str(idx), "--patterns", str(pats), "--csv", str(out_csv)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{pats}:3: ")
+    assert not out_csv.exists()
 
 
 def test_gen_corpus_deterministic(tmp_path, capsys):

@@ -116,12 +116,25 @@ def test_inconsistent_section_table(alabar_index):
 
 
 def test_corrupt_payload_caught_by_verify(alabar_index):
+    # Out-of-range ranks must surface as CorruptSectionError, never as an
+    # IndexError, ValueError or OverflowError from indexing with them.
     blob = save_bytes(alabar_index)
+    n = alabar_index.text.n
     table = struct.unpack_from("<16Q", blob, 24)
-    for section in (2, 4, 7):  # fwd_sa, fwd_lcp, c_map
-        off = table[2 * section]
-        broken = bytearray(blob)
-        struct.pack_into("<Q", broken, off, 9999)
+    mutants = []
+    for section in range(2, 8):  # fwd_sa, fwd_isa, fwd_lcp, rev_sa, rev_lcp, c_map
+        off, size = table[2 * section], table[2 * section + 1]
+        for slot in (off, off + size - 8):
+            for value in (0, n + 1, 9999, UNDEF):
+                broken = bytearray(blob)
+                struct.pack_into("<Q", broken, slot, value)
+                if broken != blob:  # lcp[1] is 0 and c_map[1] is UNDEF already
+                    mutants.append(broken)
+    off = table[4]  # fwd_sa: swap ranks 1 and 2
+    swapped = bytearray(blob)
+    swapped[off:off + 16] = blob[off + 8:off + 16] + blob[off:off + 8]
+    mutants.append(swapped)
+    for broken in mutants:
         with pytest.raises(CorruptSectionError):
             load_index(io.BytesIO(bytes(broken)))
 

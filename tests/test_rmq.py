@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -93,6 +94,55 @@ def test_large_random_arrays_match_scans():
             assert s.psv(p, d) == naive.scan_psv(array, p, d)
             p = rng.randint(0, n)
             assert s.nsv(p, d) == naive.scan_nsv(array, n, p, d)
+
+
+def test_tie_heavy_arrays_match_scans():
+    # All-equal and two-valued arrays at and around powers of two: nearly
+    # every range minimum is a tie, so answers must be the leftmost one.
+    rng = random.Random(9)
+    for k in range(1, 11):
+        for n in (2**k - 1, 2**k, 2**k + 1):
+            for array in ([0] + [3] * n, [0] + [rng.choice((2, 5)) for _ in range(n)]):
+                s = RmqStructure(array)
+                if n <= 65:
+                    starts = range(1, n + 1)
+                else:
+                    starts = {1, 2, n // 2, n - 1, n, *rng.sample(range(1, n + 1), 12)}
+                for i in starts:
+                    best = i
+                    for j in range(i, n + 1):
+                        if array[j] < array[best]:
+                            best = j
+                        assert s.rmq(i, j) == best, (array, i, j)
+                for d in range(2, 7):
+                    below = 0
+                    for p in range(1, n + 2):
+                        assert s.psv(p, d) == below, (array, p, d)
+                        if p <= n and array[p] < d:
+                            below = p
+                    below = n + 1
+                    for p in range(n, -1, -1):
+                        assert s.nsv(p, d) == below, (array, p, d)
+                        if p >= 1 and array[p] < d:
+                            below = p
+
+
+def test_table_memory_is_packed_positions():
+    # Bounds retained memory only: one 4-byte position per element and
+    # level fits, a boxed Python int per entry does not.
+    n = 1 << 16
+    rng = random.Random(10)
+    array = [0] + [rng.randint(0, 1 << 20) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        s = RmqStructure(array)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    levels = n.bit_length()  # floor(log2 n) + 1
+    assert retained <= 6 * levels * n
+    assert s.rmq(1, n) == naive.scan_rmq(array, 1, n)
 
 
 def test_stats_count_only_public_calls(lcp_struct):
