@@ -138,11 +138,26 @@ def cmd_query(args: argparse.Namespace) -> int:
     with open(args.index, "rb") as fh:
         ix = load_index(fh)
     codes = encode_pattern(ix.text, raw)
-    if codes is None:
-        return 0
     strategy = MappingStrategy(args.strategy)
-    for match in query(ix, codes, args.context, strategy=strategy):
+    stats = QueryStats() if args.stats else None
+    t0 = time.perf_counter()
+    # A byte outside the index alphabet cannot occur: no matches.
+    matches = [] if codes is None else query(
+        ix, codes, args.context, strategy=strategy, stats=stats
+    )
+    wall_s = time.perf_counter() - t0
+    for match in matches:
         _emit_match(args, ix, match)
+    if stats is not None:
+        record = {
+            "rmq_calls": stats.rmq_calls,
+            "psv_calls": stats.psv_calls,
+            "nsv_calls": stats.nsv_calls,
+            "sa_accesses": stats.sa_accesses,
+            "contexts": len(matches),
+            "wall_s": wall_s,
+        }
+        print(json.dumps(record), file=sys.stderr)
     return 0
 
 
@@ -319,6 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_query.add_argument(
         "--enumerate", action="store_true", help="list every occurrence position"
+    )
+    p_query.add_argument(
+        "--stats", action="store_true",
+        help="print the query's counters and wall time as one JSON line on stderr",
     )
     _add_strategy_option(p_query)
     p_query.set_defaults(func=cmd_query)

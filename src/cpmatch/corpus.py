@@ -47,8 +47,11 @@ def load_text(raw: bytes) -> Text:
         )
     distinct = sorted(set(raw))
     code_for_byte = {b: c for c, b in enumerate(distinct, start=1)}
+    table = bytearray(256)
+    for b, c in code_for_byte.items():
+        table[b] = c
     symbols = [SENTINEL]
-    symbols.extend(code_for_byte[b] for b in raw)
+    symbols.extend(raw.translate(table))
     symbols.append(SENTINEL)
     return Text(
         symbols=symbols,

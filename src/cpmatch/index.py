@@ -10,8 +10,10 @@ end are padded with terminators.  The index answers it in five moves:
    ``m + ell`` symbols, one run per distinct left context ``X``;
 3. map each run onto the forward suffix array interval of suffixes starting
    with ``X P``, either by anchoring one suffix and extending it with
-   threshold scans over the LCP array, or by a range minimum over a
-   precomputed rank-translation array;
+   threshold scans over the LCP array (skipped on a side whose neighbouring
+   LCP entry already falls below ``m + ell``, so a singleton context costs
+   no scan), or by a range minimum over a precomputed rank-translation
+   array;
 4. split each forward interval at depth ``m + 2*ell``, one piece per
    distinct right context ``Y``;
 5. report every piece with its count and a representative occurrence.
@@ -28,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import SENTINEL, Text, padded_symbol, reverse_text
+from .corpus import SENTINEL, Text, reverse_text
 from .errors import (
     BoundaryPartError,
     EmptyPatternError,
@@ -146,7 +148,9 @@ def map_via_psv_nsv(
 
     Anchors the forward suffix starting at the run's left context, then
     widens to every suffix sharing its first ``m + ell`` symbols using
-    threshold scans over the forward LCP array.
+    threshold scans over the forward LCP array.  A side is scanned only
+    when the LCP entry next to the anchor reaches ``m + ell``; otherwise the
+    anchor is that end of the interval, read in O(1).
     """
     t = m + ell
     j = _context_start(ix, part[0], m, ell, stats)
@@ -155,8 +159,12 @@ def map_via_psv_nsv(
     if stats is not None:
         stats.sa_accesses += 1
     p = ix.fwd.isa[j]
-    ds = p if ix.fwd.lcp[p] < t else ix.rmq_fwd.psv(p, t, stats)
-    de = ix.rmq_fwd.nsv(p, t, stats) - 1
+    lcp = ix.fwd.lcp
+    ds = p if lcp[p] < t else ix.rmq_fwd.psv(p, t, stats)
+    if p == ix.text.n or lcp[p + 1] < t:
+        de = p
+    else:
+        de = ix.rmq_fwd.nsv(p, t, stats) - 1
     return ds, de
 
 
@@ -283,6 +291,17 @@ def enumerate_occurrences(ix: CpmIndex, match: ContextMatch) -> list[int]:
 
 
 def extract_context(ix: CpmIndex, pos: int, m: int, ell: int) -> tuple[int, ...]:
-    """The ``m + 2*ell`` padded symbols around an occurrence at ``pos``."""
-    t = ix.text
-    return tuple(padded_symbol(t, j) for j in range(pos - ell, pos + m + ell))
+    """The ``m + 2*ell`` padded symbols around an occurrence at ``pos``.
+
+    One slice of the text; positions outside ``0..n`` read as the
+    terminator, as :func:`~cpmatch.corpus.padded_symbol` reads them.
+    """
+    symbols = ix.text.symbols
+    lo, hi = pos - ell, pos + m + ell
+    size = len(symbols)
+    if lo >= 0 and hi <= size:
+        return tuple(symbols[lo:hi])
+    before = max(0, min(hi, 0) - lo)
+    after = max(0, hi - max(lo, size))
+    inner = symbols[max(lo, 0):min(hi, size)] if hi > 0 and lo < size else ()
+    return (SENTINEL,) * before + tuple(inner) + (SENTINEL,) * after

@@ -37,7 +37,8 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .index import C_UNDEFINED, CpmIndex, assemble_index
-from .suffixes import SuffixEnsemble, build_inverse, build_lcp
+from .rmq import RmqStructure
+from .suffixes import SuffixEnsemble, build_inverse
 
 MAGIC = b"CPMX"
 VERSION = 1
@@ -45,6 +46,14 @@ VERSION = 1
 _SECTION_COUNT = 8
 _HEADER_SIZE = 4 + 4 + 8 + 8 + _SECTION_COUNT * 16
 _UNDEF_ON_DISK = (1 << 64) - 1
+
+#: Ranks per vectorised step of the load-time order and LCP checks.
+_VERIFY_BLOCK = 1 << 15
+
+_NOT_PERMUTATION = "suffix array is not a permutation of 1..n"
+_NOT_INVERSE = "inverse does not invert the suffix array"
+_BAD_LCP = "LCP array inconsistent with the text"
+_BAD_C_MAP = "rank-translation array inconsistent"
 
 
 def _pack(values: list[int]) -> bytes:
@@ -54,9 +63,10 @@ def _pack(values: list[int]) -> bytes:
 def save_index(ix: CpmIndex, sink: BinaryIO) -> int:
     """Write the index to ``sink``; returns the number of bytes written."""
     t = ix.text
-    c_on_disk = [
-        _UNDEF_ON_DISK if v == C_UNDEFINED else v for v in ix.c_array[1:]
-    ]
+    # struct packs the list sections faster than numpy converts them; the
+    # undefined entry is swapped faster as an array.
+    c_map = np.asarray(ix.c_array[1:], dtype=np.uint64)
+    c_on_disk = np.where(c_map == C_UNDEFINED, np.uint64(_UNDEF_ON_DISK), c_map)
     sections = [
         _pack(list(t.byte_for_code[1:])),
         _pack(t.symbols),
@@ -65,7 +75,7 @@ def save_index(ix: CpmIndex, sink: BinaryIO) -> int:
         _pack(ix.fwd.lcp[1:]),
         _pack(ix.rev.sa[1:]),
         _pack(ix.rev.lcp[1:]),
-        _pack(c_on_disk),
+        c_on_disk.astype("<u8").tobytes(),
     ]
     header = [MAGIC, struct.pack("<I", VERSION), struct.pack("<QQ", t.n, t.sigma)]
     offset = _HEADER_SIZE
@@ -89,9 +99,10 @@ def _read_exact(source: BinaryIO, size: int, what: str) -> bytes:
 def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     """Reconstruct an index saved by :func:`save_index`.
 
-    Acceleration tables are rebuilt from the loaded arrays.  With ``verify``
-    (the default) every structural invariant of the loaded arrays is checked
-    and violations raise :class:`CorruptSectionError`.
+    Acceleration tables are rebuilt from the loaded arrays.  Every section
+    is range-checked; with ``verify`` (the default) every structural
+    invariant of the loaded arrays is checked too, in O(n).  Violations
+    raise :class:`CorruptSectionError`.
     """
     magic = _read_exact(source, 4, "magic")
     if magic != MAGIC:
@@ -125,10 +136,19 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
         raise CorruptSectionError("text does not start and end with the terminator")
     if _outside(symbols[1:n], 1, sigma):
         raise CorruptSectionError("text symbol out of alphabet range")
-    if verify:
-        # Suffix array entries index the other arrays from here on.
-        for sa in (fwd_sa, rev_sa):
-            _check_permutation(sa, n)
+    # Range checks run even without verify: ranks index the other arrays,
+    # and every value must fit the tables built below.
+    for sa in (fwd_sa, rev_sa):
+        if _outside(sa, 1, n) or verify and (
+            np.bincount(sa.astype(np.intp), minlength=n + 1)[1:] != 1
+        ).any():
+            raise CorruptSectionError(_NOT_PERMUTATION)
+    if _outside(fwd_isa, 1, n):
+        raise CorruptSectionError(_NOT_INVERSE)
+    if _outside(fwd_lcp, 0, n - 1) or _outside(rev_lcp, 0, n - 1):
+        raise CorruptSectionError(_BAD_LCP)
+    if ((c_disk < 1) | ((c_disk > n) & (c_disk != _UNDEF_ON_DISK))).any():
+        raise CorruptSectionError(_BAD_C_MAP)
 
     byte_values = alphabet.tolist()
     text = Text(
@@ -149,10 +169,10 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
         text=reverse_text(text),
     )
     c_array = _padded(np.where(c_disk == _UNDEF_ON_DISK, C_UNDEFINED, c_disk))
-
+    ix = assemble_index(text, fwd, rev, c_array)
     if verify:
-        _verify_arrays(fwd, rev, sections)
-    return assemble_index(text, fwd, rev, c_array)
+        _verify_arrays(ix, sections)
+    return ix
 
 
 def _padded(values: np.ndarray) -> list[int]:
@@ -166,43 +186,63 @@ def _outside(values: np.ndarray, lo: int, hi: int) -> bool:
     return bool(values.min() < lo or values.max() > hi)
 
 
-def _check_permutation(sa: np.ndarray, n: int) -> None:
-    if _outside(sa, 1, n) or (
-        np.bincount(sa.astype(np.intp), minlength=n + 1)[1:] != 1
-    ).any():
-        raise CorruptSectionError("suffix array is not a permutation of 1..n")
-
-
-def _verify_arrays(
-    fwd: SuffixEnsemble, rev: SuffixEnsemble, sections: list[np.ndarray]
-) -> None:
-    # Runs on the on-disk arrays, after both suffix arrays passed
-    # _check_permutation; the reverse inverse was derived on load.
+def _verify_arrays(ix: CpmIndex, sections: list[np.ndarray]) -> None:
+    # Runs on the on-disk arrays, after the range checks and both
+    # permutation checks; the LCP sparse tables of ``ix`` are already built.
     _, symbols, fwd_sa, fwd_isa, fwd_lcp, rev_sa, rev_lcp, c_disk = sections
-    n = fwd.text.n
-    ranks = np.arange(1, n + 1, dtype=np.uint64)
-    if (fwd_isa[fwd_sa.astype(np.intp) - 1] != ranks).any():
-        raise CorruptSectionError("inverse does not invert the suffix array")
-    for ensemble, sa, lcp, codes in (
-        (fwd, fwd_sa, fwd_lcp, symbols),
-        (rev, rev_sa, rev_lcp, symbols[::-1]),
-    ):
-        if ensemble.lcp != build_lcp(ensemble.text, ensemble.sa, ensemble.isa):
-            raise CorruptSectionError("LCP array inconsistent with the text")
-        _check_sorted(sa, lcp, codes)
-    start = rev_sa.astype(np.intp)
-    expected = np.where(start == n, _UNDEF_ON_DISK, fwd_isa[n - start - 1])
-    if (c_disk != expected).any():
-        raise CorruptSectionError("rank-translation array inconsistent")
+    n = ix.text.n
+    codes = symbols.astype(np.uint8)
+    isa = _check_ensemble(fwd_sa, fwd_lcp, codes, ix.rmq_fwd)
+    _check_ensemble(rev_sa, rev_lcp, codes[::-1], ix.rmq_rev)
+    for lo in range(0, n, _VERIFY_BLOCK):
+        hi = min(lo + _VERIFY_BLOCK, n)
+        if (fwd_isa[lo:hi] != isa[lo + 1:hi + 1]).any():
+            raise CorruptSectionError(_NOT_INVERSE)
+        start = rev_sa[lo:hi].astype(isa.dtype)
+        expected = isa[n - start].astype(np.uint64)
+        expected[start == n] = _UNDEF_ON_DISK
+        if (c_disk[lo:hi] != expected).any():
+            raise CorruptSectionError(_BAD_C_MAP)
 
 
-def _check_sorted(sa: np.ndarray, lcp: np.ndarray, codes: np.ndarray) -> None:
-    # Adjacent suffixes must differ right after their common prefix, with the
-    # earlier-ranked one smaller; with verified LCP values this is O(n).
-    # Positions past the text end read as -1.
+def _check_ensemble(
+    sa: np.ndarray, lcp: np.ndarray, codes: np.ndarray, rmq: RmqStructure
+) -> np.ndarray:
+    """Check that a permutation ``sa`` is sorted and ``lcp`` is its LCP array.
+
+    Both checks are O(n) and need no symbol-by-symbol comparison.  Order
+    (Burkhardt & Kaerkkaeinen, CPM 2003): for rank-adjacent suffixes ``a``,
+    ``b``, either ``codes[a] < codes[b]``, or the first symbols are equal
+    and ``a + 1`` ranks below ``b + 1``.  LCP: ``lcp[1] = 0``, and
+    ``lcp[r]`` is 0 when the first symbols differ, else one more than the
+    minimum of ``lcp`` over the ranks after ``a + 1`` up to ``b + 1``.  Once
+    the order holds, the true LCP array is the only one meeting this.
+    Equal first symbols are never the terminator, which occurs only at n,
+    so ``a + 1`` and ``b + 1`` are suffixes.  Returns the inverse of ``sa``
+    indexed by position, with zeros at 0 and ``n + 1``.
+    """
     n = len(sa)
-    padded = np.append(codes.astype(np.int64), -1)
-    left = padded[np.minimum(sa[:-1] + lcp[1:], n + 1).astype(np.intp)]
-    right = padded[np.minimum(sa[1:] + lcp[1:], n + 1).astype(np.intp)]
-    if (left >= right).any():
-        raise CorruptSectionError("suffix array ranks out of order")
+    dtype = np.int32 if n + 2 < 2**31 else np.int64
+    isa = np.zeros(n + 2, dtype=dtype)
+    isa[sa.astype(dtype)] = np.arange(1, n + 1, dtype=dtype)
+    values = np.zeros(n + 1, dtype=dtype)
+    values[1:] = lcp
+    if values[1] != 0:
+        raise CorruptSectionError(_BAD_LCP)
+    # Blocks of ranks keep the temporaries small whatever n is.
+    for lo in range(1, n, _VERIFY_BLOCK):
+        hi = min(lo + _VERIFY_BLOCK, n)
+        a = sa[lo - 1:hi - 1].astype(dtype)
+        b = sa[lo:hi].astype(dtype)
+        first_a = codes[a]
+        first_b = codes[b]
+        same = first_a == first_b
+        next_a = isa[a[same] + 1]
+        next_b = isa[b[same] + 1]
+        if (first_a > first_b).any() or (next_a >= next_b).any():
+            raise CorruptSectionError("suffix array ranks out of order")
+        expected = np.zeros(hi - lo, dtype=dtype)
+        expected[same] = rmq.range_minima(values, next_a + 1, next_b) + 1
+        if (values[lo + 1:hi + 1] != expected).any():
+            raise CorruptSectionError(_BAD_LCP)
+    return isa

@@ -84,6 +84,24 @@ class RmqStructure:
         array = self.array
         return pb if array[pb] < array[pa] else pa
 
+    def range_minima(
+        self, values: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> np.ndarray:
+        """Minimum of ``values[lo[x]..hi[x]]`` for every ``x``, uncounted.
+
+        ``values`` is this structure's array as a numpy array, slot 0
+        included, and every range must satisfy ``1 <= lo <= hi <= n``.
+        """
+        level = np.frexp(hi - lo + 1)[1] - 1
+        out = np.empty(len(lo), dtype=values.dtype)
+        for k in range(int(level.max(initial=0)) + 1):
+            sel = np.flatnonzero(level == k)
+            row = np.frombuffer(self._pos[k], dtype=self._pos[k].typecode)
+            out[sel] = np.minimum(
+                values[row[lo[sel] - 1]], values[row[hi[sel] - (1 << k)]]
+            )
+        return out
+
     def rmq(self, i: int, j: int, stats: QueryStats | None = None) -> int:
         """Leftmost position of the minimum value in ``array[i..j]``."""
         if not 1 <= i <= j <= self.n:

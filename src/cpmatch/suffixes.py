@@ -37,20 +37,19 @@ def build_suffix_array(t: Text) -> list[int]:
     rank = np.asarray(t.symbols[1:], dtype=np.int64)
     k = 1
     while True:
-        shifted = np.full(n, -1, dtype=np.int64)
+        # One key per suffix orders it by (rank, rank k further on), with
+        # suffixes that end before then first; ranks stay below n.
+        key = rank * (n + 1)
         if k < n:
-            shifted[:-k] = rank[k:]
-        order = np.lexsort((shifted, rank))
-        changed = (rank[order][1:] != rank[order][:-1]) | (
-            shifted[order][1:] != shifted[order][:-1]
-        )
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[order] = np.concatenate(([0], np.cumsum(changed)))
-        rank = new_rank
+            key[:-k] += rank[k:] + 1
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.concatenate(([0], np.cumsum(ordered[1:] != ordered[:-1])))
         if rank[order[-1]] == n - 1:
             break
         k <<= 1
-    return [0, *(int(i) + 1 for i in order)]
+    return np.concatenate(([0], order + 1)).tolist()
 
 
 def build_inverse(sa: list[int]) -> list[int]:
@@ -107,19 +106,21 @@ def find_pattern_range(
     if SENTINEL in pattern:
         raise SentinelInPatternError("pattern contains the terminator symbol")
     n = e.text.n
+    m = len(pattern)
     symbols = e.text.symbols
     sa = e.sa
 
     def compare(rank: int) -> int:
         # -1: suffix < q, 0: q is a prefix of the suffix, 1: suffix > q.
+        # A window cut short by the text end holds the terminator at n, and
+        # the pattern has none, so the two lists differ before it ends.
         if stats is not None:
             stats.sa_accesses += 1
         pos = sa[rank]
-        for off, qc in enumerate(pattern):
-            c = symbols[pos + off] if pos + off <= n else SENTINEL
-            if c != qc:
-                return -1 if c < qc else 1
-        return 0
+        window = symbols[pos:pos + m]
+        if window == pattern:
+            return 0
+        return -1 if window < pattern else 1
 
     lo, hi = 1, n + 1
     while lo < hi:

@@ -128,6 +128,26 @@ def test_query_absent_pattern(alabar_files, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_query_stats(alabar_files, capsys):
+    _, idx = alabar_files
+    capsys.readouterr()
+    args = ["query", str(idx), "--pattern", "a", "--context", "1"]
+    assert cli.main(args) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    for pattern in ("a", "zz"):
+        args[3] = pattern
+        assert cli.main(args + ["--stats"]) == 0
+        captured = capsys.readouterr()
+        if pattern == "a":
+            assert captured.out == plain.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert list(json.loads(lines[0])) == [
+            "rmq_calls", "psv_calls", "nsv_calls", "sa_accesses", "contexts", "wall_s",
+        ]
+
+
 def test_query_strategies_identical_bytes(alabar_files, capsys):
     _, idx = alabar_files
     outputs = []

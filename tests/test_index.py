@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cpmatch.corpus import load_text
+from cpmatch.corpus import load_text, padded_symbol
 from cpmatch.errors import (
     BoundaryPartError,
     EmptyPatternError,
@@ -175,6 +175,33 @@ def test_extract_context_examples(alabar_index):
         alabar_data.CODE[c] for c in "ara"
     )
     assert extract_context(alabar_index, 1, 1, 2) == alabar_data.ctx("$$ala")
+
+
+def test_extract_context_matches_padded_symbols():
+    # Every window position, including ones overhanging either end or lying
+    # wholly outside the text, against the per-symbol construction.
+    rng = random.Random(11)
+    for size in (1, 2, 3, 5, 17, 40):
+        ix = build_index(load_text(naive.random_raw(rng, size, 4)))
+        n = ix.text.n
+        for ell in (0, 1, 2, 7, n + 10):
+            for m in range(1, 5):
+                for pos in range(-3, n + 4):
+                    expected = tuple(
+                        padded_symbol(ix.text, j) for j in range(pos - ell, pos + m + ell)
+                    )
+                    assert extract_context(ix, pos, m, ell) == expected
+
+
+def test_singleton_contexts_need_no_threshold_scans():
+    rng = random.Random(12)
+    ix = build_index(load_text(naive.random_raw(rng, 300, 4)))
+    p = ix.text.symbols[100:103]
+    stats = QueryStats()
+    matches = query(ix, p, 20, strategy=MappingStrategy.PSV_NSV, stats=stats)
+    assert any(m.p_offset == 20 for m in matches)  # some runs were mapped
+    assert all(m.count == 1 for m in matches)
+    assert (stats.psv_calls, stats.nsv_calls) == (0, 0)
 
 
 def test_huge_ell_pads_every_context(alabar_index):

@@ -11,6 +11,7 @@ from cpmatch.errors import (
     UnsupportedVersionError,
 )
 from cpmatch.index import MappingStrategy, build_index, query
+from cpmatch import persistence
 from cpmatch.persistence import load_index, save_index
 
 import alabar_data
@@ -145,3 +146,110 @@ def test_corrupt_c_map_slips_past_verify_false(alabar_index):
     struct.pack_into("<Q", blob, table[14] + 8, 3)
     ix = load_index(io.BytesIO(bytes(blob)), verify=False)
     assert ix.c_array[1:3] != alabar_index.c_array[1:3]
+
+
+def section_extent(blob: bytes, section: int) -> tuple[int, int]:
+    table = struct.unpack_from("<16Q", blob, 24)
+    return table[2 * section], table[2 * section + 1] // 8
+
+
+def swap_slots(broken: bytearray, blob: bytes, off: int, i: int, j: int) -> None:
+    broken[off + 8 * i:off + 8 * i + 8] = blob[off + 8 * j:off + 8 * j + 8]
+    broken[off + 8 * j:off + 8 * j + 8] = blob[off + 8 * i:off + 8 * i + 8]
+
+
+def swap_ranks_consistently(broken: bytearray, blob: bytes, reverse: bool,
+                            i: int, j: int) -> None:
+    # Swaps two suffix-array entries and patches fwd_isa and c_map to match,
+    # so that only the suffix-order and LCP checks can tell.
+    sa_off, _ = section_extent(blob, 5 if reverse else 2)
+    c_off, count = section_extent(blob, 7)
+    swap_slots(broken, blob, sa_off, i, j)
+    if reverse:
+        swap_slots(broken, blob, c_off, i, j)
+        return
+    isa_off, _ = section_extent(blob, 3)
+    p = struct.unpack_from("<Q", blob, sa_off + 8 * i)[0]
+    q = struct.unpack_from("<Q", blob, sa_off + 8 * j)[0]
+    swap_slots(broken, blob, isa_off, p - 1, q - 1)
+    for slot in range(count):
+        rank = struct.unpack_from("<Q", blob, c_off + 8 * slot)[0]
+        if rank in (i + 1, j + 1):
+            struct.pack_into("<Q", broken, c_off + 8 * slot, i + j + 2 - rank)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_mutated_ranks_and_lcps_caught_by_verify(monkeypatch, block):
+    # The sa, isa and lcp sections each have exactly one valid content, so
+    # every in-range edit that changes a byte must be rejected.
+    if block is not None:
+        monkeypatch.setattr(persistence, "_VERIFY_BLOCK", block)
+    rng = random.Random(41)
+    for _ in range(12):
+        t = load_text(naive.random_raw(rng, rng.randint(1, 60), rng.choice([1, 2, 4])))
+        blob = save_bytes(build_index(t))
+        n = t.n
+        for _ in range(50):
+            section = rng.choice([2, 3, 4, 5, 6])  # fwd_sa .. rev_lcp
+            off, count = section_extent(blob, section)
+            lcp = section in (4, 6)
+            i, j = rng.randrange(count), rng.randrange(count)
+            old = struct.unpack_from("<Q", blob, off + 8 * i)[0]
+            broken = bytearray(blob)
+            kind = rng.randrange(3)
+            if kind == 0:
+                value = rng.randint(0, n - 1) if lcp else rng.randint(1, n)
+                struct.pack_into("<Q", broken, off + 8 * i, value)
+            elif kind == 1:
+                swap_slots(broken, blob, off, i, j)
+            elif lcp:
+                delta = rng.choice([-1, 1])
+                if 0 <= old + delta <= n - 1:
+                    struct.pack_into("<Q", broken, off + 8 * i, old + delta)
+            elif section != 3:
+                swap_ranks_consistently(broken, blob, section == 5, i, j)
+            if broken == blob:
+                continue
+            with pytest.raises(CorruptSectionError):
+                load_index(io.BytesIO(bytes(broken)))
+
+
+@pytest.mark.parametrize("raw", [b"a" * 20_000, bytes(range(1, 256)) * 4])
+def test_extreme_alphabets_load_verified(raw):
+    ix = build_index(load_text(raw))
+    loaded = load_index(io.BytesIO(save_bytes(ix)))
+    assert loaded.fwd.sa == ix.fwd.sa
+    assert loaded.rev.lcp == ix.rev.lcp
+
+
+def test_out_of_range_values_rejected_without_verify(alabar_index):
+    blob = save_bytes(alabar_index)
+    n = alabar_index.text.n
+    bad = {
+        2: (0, n + 1, UNDEF - 1, UNDEF),  # fwd_sa
+        3: (0, n + 1, UNDEF - 1, UNDEF),  # fwd_isa
+        4: (n, UNDEF - 1, UNDEF),  # fwd_lcp
+        5: (0, n + 1, UNDEF - 1, UNDEF),  # rev_sa
+        6: (n, UNDEF - 1, UNDEF),  # rev_lcp
+        7: (0, n + 1, UNDEF - 1),  # c_map
+    }
+    for section, values in bad.items():
+        off, count = section_extent(blob, section)
+        for slot in (1, count - 1):
+            for value in values:
+                broken = bytearray(blob)
+                struct.pack_into("<Q", broken, off + 8 * slot, value)
+                with pytest.raises(CorruptSectionError):
+                    load_index(io.BytesIO(bytes(broken)), verify=False)
+
+
+def test_swapped_symbol_buckets_caught_by_verify():
+    # In "ab" the suffixes starting with a and with b are one each, so
+    # swapping them leaves every LCP value right: only the first-symbol
+    # order can tell.
+    blob = save_bytes(build_index(load_text(b"ab")))
+    for reverse in (False, True):
+        broken = bytearray(blob)
+        swap_ranks_consistently(broken, blob, reverse, 1, 2)
+        with pytest.raises(CorruptSectionError, match="out of order"):
+            load_index(io.BytesIO(bytes(broken)))

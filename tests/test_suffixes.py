@@ -107,6 +107,20 @@ def test_pattern_range_matches_naive_scan():
         assert find_pattern_range(e, q) == naive.naive_pattern_range(t, e.sa, q)
 
 
+def test_pattern_range_at_the_text_end():
+    # Patterns that reach position n - 1, and ones running one symbol past it,
+    # compare against suffixes cut short by the terminator.
+    rng = random.Random(78)
+    for _ in range(20):
+        raw = naive.random_raw(rng, rng.randint(1, 40), rng.choice([1, 2, 4]))
+        t = load_text(raw)
+        e = build_ensemble(t)
+        for start in range(1, t.n):
+            suffix = t.symbols[start:t.n]
+            for q in (suffix, suffix + [rng.randint(1, t.sigma)]):
+                assert find_pattern_range(e, q) == naive.naive_pattern_range(t, e.sa, q)
+
+
 def test_bwt_runs_single_letter():
     assert compute_bwt_runs(build_ensemble(load_text(b"a"))) == 2
 
