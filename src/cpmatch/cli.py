@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import random
 import string
 import sys
@@ -28,6 +29,8 @@ from .suffixes import compute_bwt_runs
 
 
 _HEX_DIGITS = frozenset(string.hexdigits)
+
+_log = logging.getLogger(__name__)
 
 
 def parse_pattern(text: str) -> bytes:
@@ -92,13 +95,36 @@ def _run_counts(ix: CpmIndex) -> tuple[int, int, int]:
     return r, r_rev, max(r, r_rev)
 
 
+def _log_line(record: dict) -> None:
+    """Log ``record`` as one JSON line on stderr."""
+    handler = logging.StreamHandler(sys.stderr)
+    _log.addHandler(handler)
+    _log.setLevel(logging.INFO)
+    try:
+        _log.info(json.dumps(record))
+    finally:
+        _log.removeHandler(handler)
+
+
 def cmd_build(args: argparse.Namespace) -> int:
+    t0 = time.perf_counter()
     t = _load_text_file(args.text)
+    t1 = time.perf_counter()
     ix = build_index(t)
+    t2 = time.perf_counter()
     with open(args.output, "wb") as fh:
         save_index(ix, fh)
+    t3 = time.perf_counter()
     r, r_rev, r_max = _run_counts(ix)
+    t4 = time.perf_counter()
     print(f"n={t.n} sigma={t.sigma} r={r} r_rev={r_rev} r_max={r_max}")
+    if args.verbose:
+        _log_line({
+            "load_text_s": t1 - t0,
+            "build_index_s": t2 - t1,
+            "save_index_s": t3 - t2,
+            "bwt_runs_s": t4 - t3,
+        })
     return 0
 
 
@@ -325,6 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="index a text file")
     p_build.add_argument("text", help="input text (binary, no 0x00 bytes)")
     p_build.add_argument("-o", "--output", required=True, help="index file to write")
+    p_build.add_argument(
+        "--verbose", action="store_true",
+        help="log each phase's wall time as one JSON line on stderr",
+    )
     p_build.set_defaults(func=cmd_build)
 
     p_query = sub.add_parser("query", help="report distinct pattern contexts")

@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .corpus import SENTINEL, Text, reverse_text
 from .errors import (
     BoundaryPartError,
@@ -101,11 +99,14 @@ def build_index(t: Text) -> CpmIndex:
     """Build both ensembles, the rank-translation array, and rmq tables."""
     fwd = build_ensemble(t)
     rev = build_ensemble(reverse_text(t))
-    start = np.asarray(rev.sa)
-    c_array = np.asarray(fwd.isa)[t.n - start]
+    # A comprehension shares its int objects with ``fwd.isa``, where a
+    # numpy round trip would make new ones.  The entry with
+    # ``rev.sa[i] = n`` reads the padding ``fwd.isa[0]``, C_UNDEFINED.
+    n = t.n
+    isa = fwd.isa
+    c_array = [isa[n - start] for start in rev.sa]
     c_array[0] = C_UNDEFINED
-    c_array[start == t.n] = C_UNDEFINED
-    return assemble_index(t, fwd, rev, c_array.tolist())
+    return assemble_index(t, fwd, rev, c_array)
 
 
 def assemble_index(

@@ -5,7 +5,8 @@ padding).  The sparse table keeps, for every power-of-two width, one packed
 row of 4-byte positions (8-byte only when n >= 2**31) and reads values
 through the base array, about 4 * n * log2(n) bytes in all.  It answers
 range minima in O(1); the threshold scans run a binary descent over it in
-O(log n).
+O(log n).  The table is built level by level from contiguous slices of the
+previous level's positions and minima, in O(n log n) array work.
 """
 
 from __future__ import annotations
@@ -54,22 +55,36 @@ class RmqStructure:
     """
 
     def __init__(self, array: list[int]):
+        """Build the rows in O(n log n) array work.
+
+        Row ``k`` comes from row ``k - 1`` and the minima at its positions,
+        which are kept beside it: two contiguous slices of each, one compare
+        and two ``np.where``, with no value gathered through ``array``.
+        Minima that fit 4 bytes, as LCP values and ranks do, take the rows'
+        4-byte type.  Transient memory is three rows' worth of positions
+        and minima.
+        """
         n = len(array) - 1
         if n < 1:
             raise EmptyArrayError("range-minimum structure needs n >= 1")
         self.array = array
         self.n = n
         typecode = "i" if n < 2**31 else "q"
-        vals = np.asarray(array, dtype=np.int64)
+        minima = np.asarray(array, dtype=np.int64)[1:]
+        if typecode == "i" and minima.min() >= -(2**31) and minima.max() < 2**31:
+            minima = minima.astype(np.int32)
         row = np.arange(1, n + 1, dtype=typecode)
         rows = [packed_array(typecode, row.tobytes())]
         width = 2
         while width <= n:
             half = width // 2
             span = n - width + 1
-            lo = row[:span]
-            hi = row[half:half + span]
-            row = np.where(vals[hi] < vals[lo], hi, lo)
+            left = minima[:span]
+            right = minima[half:half + span]
+            # Ties keep the left half, so every answer stays leftmost.
+            take_right = right < left
+            row = np.where(take_right, row[half:half + span], row[:span])
+            minima = np.where(take_right, right, left)
             rows.append(packed_array(typecode, row.tobytes()))
             width *= 2
         self._pos = rows

@@ -3,6 +3,12 @@
 Arrays are 1-based lists with a padding zero in slot 0, covering the suffix
 start positions ``1..n`` of a remapped text; the suffix of the leading
 terminator at position 0 is deliberately excluded.
+
+The builders are whole-array numpy passes: prefix doubling that re-sorts
+only unresolved suffixes, an LCP array read off per-level prefix classes,
+and one scatter for the inverse.  Each converts its result to a list once;
+the suffix array comes as an :class:`IntList`, so that the inverse and LCP
+builds read its numpy copy instead of converting the list back.
 """
 
 from __future__ import annotations
@@ -27,67 +33,155 @@ class SuffixEnsemble:
     text: Text
 
 
+class IntList(list):
+    """A list of ints that also holds them as a numpy array, ``values``.
+
+    :func:`build_suffix_array` returns one, so that :func:`build_inverse`
+    and :func:`build_lcp` read the array instead of converting the list
+    back.  Indexes store plain lists: CPython indexes an exact list faster
+    than a subclass.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        super().__init__(values.tolist())
+        self.values = values
+
+
+def _as_array(values: list[int]) -> np.ndarray:
+    if isinstance(values, IntList):
+        return values.values
+    return np.asarray(values, dtype=np.int64)
+
+
+def _codes(t: Text) -> np.ndarray:
+    """The text's symbol codes, terminators included, as a uint8 array."""
+    return np.frombuffer(bytes(t.symbols), dtype=np.uint8)
+
+
 def build_suffix_array(t: Text) -> list[int]:
     """Start positions ``1..n`` sorted by suffix, via prefix doubling.
 
-    The trailing terminator is the unique smallest symbol, so all suffixes
-    are distinct and the doubling loop always terminates with dense ranks.
+    The first sort orders the suffixes by their first ``k`` symbols, packed
+    into one 63-bit key (``k`` = 21 for four symbols, 7 for 255), with
+    terminators past the text end.  The suffixes sharing a prefix fill a
+    run of slots, their group, and a suffix's rank is its group's first
+    slot.  Each round then re-sorts only the suffixes in groups of two or
+    more, by (rank, rank ``k`` positions on), splits those groups and
+    doubles ``k`` (Larsson & Sadakane, TCS 2007); a suffix alone in its
+    group is never touched again.  The trailing terminator is the unique
+    smallest symbol, so all suffixes are distinct, a tied suffix never
+    reaches the text end within ``k`` symbols, and the rounds end once
+    ``k`` exceeds the longest common prefix ``L``.  Work is O(n log n) for
+    the first sort plus O(u log u) per round for its ``u`` unresolved
+    suffixes: O(n log n log(L / k)) at worst (one repeated symbol), far
+    less when most suffixes resolve early.  Transient memory is about 40
+    bytes per suffix in the first sort and per unresolved suffix after it,
+    beside the 4-byte rank and slot arrays.
     """
     n = t.n
-    rank = np.asarray(t.symbols[1:], dtype=np.int64)
-    k = 1
+    codes = _codes(t)
+    bits = t.sigma.bit_length()
+    k = min(63 // bits, n)
+    key = np.zeros(n, dtype=np.int64)
+    for j in range(k):
+        key <<= bits
+        key[:n - j] |= codes[1 + j:]
+    order = np.argsort(key)
+    key = key[order]
+    # 4 bytes while the sum of two positions still fits.
+    dtype = np.int32 if n < 2**30 else np.int64
+    sa = np.zeros(n + 1, dtype=dtype)
+    sa[1:] = order + 1
+    rank = np.zeros(n + 1, dtype=dtype)
+    slots = np.arange(1, n + 1, dtype=dtype)
+    pos = sa[1:]
     while True:
-        # One key per suffix orders it by (rank, rank k further on), with
-        # suffixes that end before then first; ranks stay below n.
-        key = rank * (n + 1)
-        if k < n:
-            key[:-k] += rank[k:] + 1
-        order = np.argsort(key, kind="stable")
-        ordered = key[order]
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.concatenate(([0], np.cumsum(ordered[1:] != ordered[:-1])))
-        if rank[order[-1]] == n - 1:
+        # ``key`` is sorted: a group starts wherever it changes.
+        head = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        first = np.maximum.accumulate(np.where(head, slots, 0))
+        rank[pos] = first
+        tied = ~head
+        tied[:-1] |= ~head[1:]
+        if not tied.any():
             break
+        slots = slots[tied]
+        pos = pos[tied]
+        key = first[tied].astype(np.int64) * (n + 1) + rank[pos + k]
+        # Within a group the previous order often sorts the new keys
+        # already, and a stable sort runs through such stretches in O(u).
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        pos = pos[order]
+        sa[slots] = pos
         k <<= 1
-    return np.concatenate(([0], order + 1)).tolist()
+    return IntList(sa)
 
 
 def build_inverse(sa: list[int]) -> list[int]:
-    """Inverse permutation: ``isa[sa[i]] = i``."""
-    isa = np.zeros(len(sa), dtype=np.int64)
-    isa[np.asarray(sa, dtype=np.int64)[1:]] = np.arange(1, len(sa))
+    """Inverse permutation: ``isa[sa[i]] = i``, by one scatter."""
+    values = _as_array(sa)
+    isa = np.zeros(len(values), dtype=values.dtype)
+    isa[values[1:]] = np.arange(1, len(values), dtype=values.dtype)
     return isa.tolist()
 
 
-def build_lcp(t: Text, sa: list[int], isa: list[int]) -> list[int]:
-    """Longest-common-prefix lengths of rank-adjacent suffixes, in O(n).
+def build_lcp(t: Text, sa: list[int]) -> list[int]:
+    """Longest-common-prefix lengths of rank-adjacent suffixes.
 
-    Scans text positions in order and reuses the previous match length, so
-    the total number of symbol comparisons is linear.
+    Level ``j`` gives every position the class of its ``2**j``-symbol
+    prefix, numbered in suffix order, so that equal classes mean equal
+    prefixes (Manber & Myers, SICOMP 1993).  Level 0 is the symbols.  Since
+    ``sa`` is sorted, two rank-adjacent suffixes share ``2**(j + 1)``
+    symbols exactly when they share ``2**j`` symbols and so do the suffixes
+    ``2**j`` further on: one gather of level ``j`` in suffix order, one
+    cumulative sum and one scatter give level ``j + 1``, with no sort.
+    Levels stop once no adjacent pair shares a prefix of the level's
+    length.  One descent from the top level then extends the common prefix
+    of every adjacent pair at once, by ``2**j`` wherever the classes at the
+    current offsets agree.
+    Work is O(n log L) for the longest common prefix ``L``; transient
+    memory is one 4-byte class array per level, about
+    ``4 * n * ceil(log2(L + 1))`` bytes.
     """
     n = t.n
-    symbols = t.symbols
-    lcp = [0] * (n + 1)
-    k = 0
-    for j in range(1, n + 1):
-        i = isa[j]
-        if i == 1:
-            k = 0
-            continue
-        prev = sa[i - 1]
-        while j + k <= n and prev + k <= n and symbols[j + k] == symbols[prev + k]:
-            k += 1
-        lcp[i] = k
-        if k:
-            k -= 1
-    return lcp
+    order = _as_array(sa)[1:]
+    dtype = order.dtype
+    codes = _codes(t)
+    first = codes[order]
+    differ = first[1:] != first[:-1]
+    ranks = np.zeros(n, dtype=dtype)
+    levels = []
+    classes = codes
+    while not differ.all():
+        if levels:
+            np.cumsum(differ, out=ranks[1:])
+            classes = np.empty(n + 1, dtype=dtype)
+            classes[order] = ranks
+        levels.append(classes)
+        # Only a suffix holding the terminator within its first 2**j
+        # symbols can run past n, and its pairs already differ.
+        after = classes.take(order + (1 << (len(levels) - 1)), mode="clip")
+        differ |= after[1:] != after[:-1]
+    a = order[:-1]
+    b = order[1:]
+    common = np.zeros(n - 1, dtype=dtype)
+    for j in reversed(range(len(levels))):
+        classes = levels[j]
+        agree = classes[a + common] == classes[b + common]
+        common += agree.astype(dtype) << j
+    lcp = np.zeros(n + 1, dtype=dtype)
+    lcp[2:] = common
+    return lcp.tolist()
 
 
 def build_ensemble(t: Text) -> SuffixEnsemble:
     sa = build_suffix_array(t)
     isa = build_inverse(sa)
-    lcp = build_lcp(t, sa, isa)
-    return SuffixEnsemble(sa=sa, isa=isa, lcp=lcp, text=t)
+    lcp = build_lcp(t, sa)
+    return SuffixEnsemble(sa=list(sa), isa=isa, lcp=lcp, text=t)
 
 
 def find_pattern_range(
@@ -144,12 +238,5 @@ def find_pattern_range(
 
 def compute_bwt_runs(e: SuffixEnsemble) -> int:
     """Number of maximal equal-symbol runs in ``symbols[sa[i] - 1]``."""
-    symbols = e.text.symbols
-    runs = 0
-    prev = -1
-    for i in range(1, e.text.n + 1):
-        c = symbols[e.sa[i] - 1]
-        if c != prev:
-            runs += 1
-            prev = c
-    return runs
+    bwt = _codes(e.text)[_as_array(e.sa)[1:] - 1]
+    return 1 + int(np.count_nonzero(bwt[1:] != bwt[:-1]))

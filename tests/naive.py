@@ -1,10 +1,14 @@
-"""Linear-scan reference implementations used as test oracles.
+"""Reference implementations used as test oracles.
 
 Everything here is deliberately slow and obvious; none of it shares code
-with the structures under test.
+with the structures under test.  ``doubling_suffix_array`` and
+``kasai_lcp`` are the library's earlier builders, kept as independent
+references that are fast enough for texts of 10^4 symbols.
 """
 
 import random
+
+import numpy as np
 
 from cpmatch.corpus import Text
 
@@ -24,6 +28,50 @@ def naive_lcp(t: Text, sa: list[int]) -> list[int]:
             k += 1
         out[i] = k
     return out
+
+
+def doubling_suffix_array(t: Text) -> list[int]:
+    """Prefix doubling that re-sorts every suffix in every round."""
+    n = t.n
+    rank = np.asarray(t.symbols[1:], dtype=np.int64)
+    k = 1
+    while True:
+        # One key per suffix orders it by (rank, rank k further on), with
+        # suffixes that end before then first; ranks stay below n.
+        key = rank * (n + 1)
+        if k < n:
+            key[:-k] += rank[k:] + 1
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.concatenate(([0], np.cumsum(ordered[1:] != ordered[:-1])))
+        if rank[order[-1]] == n - 1:
+            break
+        k <<= 1
+    return np.concatenate(([0], order + 1)).tolist()
+
+
+def kasai_lcp(t: Text, sa: list[int]) -> list[int]:
+    """Kasai et al.'s linear-time LCP scan over text positions."""
+    n = t.n
+    symbols = t.symbols
+    isa = [0] * (n + 1)
+    for i in range(1, n + 1):
+        isa[sa[i]] = i
+    lcp = [0] * (n + 1)
+    k = 0
+    for j in range(1, n + 1):
+        i = isa[j]
+        if i == 1:
+            k = 0
+            continue
+        prev = sa[i - 1]
+        while j + k <= n and prev + k <= n and symbols[j + k] == symbols[prev + k]:
+            k += 1
+        lcp[i] = k
+        if k:
+            k -= 1
+    return lcp
 
 
 def scan_rmq(array: list[int], i: int, j: int) -> int:

@@ -48,6 +48,23 @@ def test_build_output_line(alabar_files, capsys, alabar_index):
     assert out == expected
 
 
+def test_build_verbose(alabar_files, capsys):
+    text, idx = alabar_files
+    capsys.readouterr()
+    args = ["build", str(text), "-o", str(idx)]
+    assert cli.main(args) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert cli.main(args + ["--verbose"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert list(json.loads(lines[0])) == [
+        "load_text_s", "build_index_s", "save_index_s", "bwt_runs_s",
+    ]
+
+
 def test_build_is_deterministic(alabar_files, tmp_path):
     text, idx = alabar_files
     second = tmp_path / "again.idx"
