@@ -175,15 +175,14 @@ def cmd_query(args: argparse.Namespace) -> int:
     for match in matches:
         _emit_match(args, ix, match)
     if stats is not None:
-        record = {
+        _log_line({
             "rmq_calls": stats.rmq_calls,
             "psv_calls": stats.psv_calls,
             "nsv_calls": stats.nsv_calls,
             "sa_accesses": stats.sa_accesses,
             "contexts": len(matches),
             "wall_s": wall_s,
-        }
-        print(json.dumps(record), file=sys.stderr)
+        })
     return 0
 
 
@@ -367,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_query.add_argument(
         "--stats", action="store_true",
-        help="print the query's counters and wall time as one JSON line on stderr",
+        help="log the query's counters and wall time as one JSON line on stderr",
     )
     _add_strategy_option(p_query)
     p_query.set_defaults(func=cmd_query)

@@ -29,12 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .corpus import SENTINEL, Text, reverse_text
-from .errors import (
-    BoundaryPartError,
-    EmptyPatternError,
-    NonSingletonBoundaryError,
-    SentinelInPatternError,
-)
+from .errors import BoundaryPartError, NonSingletonBoundaryError
 from .rmq import QueryStats, RmqStructure, partition_interval
 from .suffixes import SuffixEnsemble, build_ensemble, find_pattern_range
 
@@ -237,10 +232,6 @@ def query(
     forward ranges.
     """
     p = list(pattern)
-    if not p:
-        raise EmptyPatternError("pattern must be nonempty")
-    if SENTINEL in p:
-        raise SentinelInPatternError("pattern contains the terminator symbol")
     if ell < 0:
         raise ValueError("context length must be >= 0")
     m = len(p)

@@ -4,7 +4,7 @@ All structures here operate on frozen 1-based integer arrays (slot 0 is
 padding).  The sparse table keeps, for every power-of-two width, one packed
 row of 4-byte positions (8-byte only when n >= 2**31) and reads values
 through the base array, about 4 * n * log2(n) bytes in all.  It answers
-range minima in O(1); the threshold scans run a binary descent over it in
+range minima in O(1); each threshold scan is one walk down its levels, in
 O(log n).  The table is built level by level from contiguous slices of the
 previous level's positions and minima, in O(n log n) array work.
 """
@@ -89,16 +89,6 @@ class RmqStructure:
             width *= 2
         self._pos = rows
 
-    def _argmin(self, i: int, j: int) -> int:
-        # Uncounted internal lookup over two overlapping power-of-two blocks.
-        # The left block's answer wins ties, which keeps the result leftmost.
-        k = (j - i + 1).bit_length() - 1
-        row = self._pos[k]
-        pa = row[i - 1]
-        pb = row[j - (1 << k)]
-        array = self.array
-        return pb if array[pb] < array[pa] else pa
-
     def range_minima(
         self, values: np.ndarray, lo: np.ndarray, hi: np.ndarray
     ) -> np.ndarray:
@@ -123,43 +113,55 @@ class RmqStructure:
             raise InvalidRangeError(f"rmq range [{i}..{j}] outside 1..{self.n}")
         if stats is not None:
             stats.rmq_calls += 1
-        return self._argmin(i, j)
+        # Two overlapping power-of-two blocks; the left block's answer wins
+        # ties, which keeps the result leftmost.
+        k = (j - i + 1).bit_length() - 1
+        row = self._pos[k]
+        pa = row[i - 1]
+        pb = row[j - (1 << k)]
+        array = self.array
+        return pb if array[pb] < array[pa] else pa
 
     def psv(self, p: int, d: int, stats: QueryStats | None = None) -> int:
-        """Largest ``q < p`` with ``array[q] < d``, or 0 when none exists."""
+        """Largest ``q < p`` with ``array[q] < d``, or 0 when none exists.
+
+        One walk down the rows, O(log n): at each level ``k`` it skips the
+        ``2**k`` positions left of ``q`` when their minimum is at least
+        ``d``, so the skipped widths spell out the gap in binary.
+        """
         if not 1 <= p <= self.n + 1:
             raise InvalidPositionError(f"psv position {p} outside 1..{self.n + 1}")
         if stats is not None:
             stats.psv_calls += 1
-        hi = p - 1
-        if hi < 1 or self.array[self._argmin(1, hi)] >= d:
-            return 0
-        lo = 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.array[self._argmin(mid, hi)] < d:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        array = self.array
+        rows = self._pos
+        q = p - 1
+        for k in range(q.bit_length() - 1, -1, -1):
+            width = 1 << k
+            if width <= q and array[rows[k][q - width]] >= d:
+                q -= width
+        return q
 
     def nsv(self, p: int, d: int, stats: QueryStats | None = None) -> int:
-        """Smallest ``q > p`` with ``array[q] < d``, or ``n + 1`` when none."""
+        """Smallest ``q > p`` with ``array[q] < d``, or ``n + 1`` when none.
+
+        The mirror of :meth:`psv`: one walk down the rows that skips the
+        ``2**k`` positions from ``q`` on when their minimum is at least
+        ``d``.
+        """
         if not 0 <= p <= self.n:
             raise InvalidPositionError(f"nsv position {p} outside 0..{self.n}")
         if stats is not None:
             stats.nsv_calls += 1
-        lo = p + 1
-        hi = self.n
-        if lo > hi or self.array[self._argmin(lo, hi)] >= d:
-            return self.n + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.array[self._argmin(lo, mid)] < d:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        array = self.array
+        rows = self._pos
+        end = self.n + 1
+        q = p + 1
+        for k in range((end - q).bit_length() - 1, -1, -1):
+            width = 1 << k
+            if q + width <= end and array[rows[k][q - 1]] >= d:
+                q += width
+        return q
 
 
 def partition_interval(

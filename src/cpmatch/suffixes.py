@@ -13,6 +13,7 @@ builds read its numpy copy instead of converting the list back.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -191,8 +192,10 @@ def find_pattern_range(
 ) -> tuple[int, int] | None:
     """Maximal rank interval whose suffixes start with ``q``, or None.
 
-    Two binary searches over the suffix array, O(m log n) symbol
-    comparisons.
+    Two :mod:`bisect` searches over the suffix array, keyed by each
+    suffix's first ``m`` symbols: O(m log n) symbol comparisons.  A window
+    cut short by the text end holds the terminator at ``n``, and the
+    pattern has none, so the two differ before the window ends.
     """
     pattern = list(q)
     if not pattern:
@@ -204,36 +207,15 @@ def find_pattern_range(
     symbols = e.text.symbols
     sa = e.sa
 
-    def compare(rank: int) -> int:
-        # -1: suffix < q, 0: q is a prefix of the suffix, 1: suffix > q.
-        # A window cut short by the text end holds the terminator at n, and
-        # the pattern has none, so the two lists differ before it ends.
+    def window(pos: int) -> list[int]:
         if stats is not None:
             stats.sa_accesses += 1
-        pos = sa[rank]
-        window = symbols[pos:pos + m]
-        if window == pattern:
-            return 0
-        return -1 if window < pattern else 1
+        return symbols[pos:pos + m]
 
-    lo, hi = 1, n + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if compare(mid) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    first = lo
-    if first > n or compare(first) != 0:
+    first = bisect_left(sa, pattern, 1, n + 1, key=window)
+    if first > n or window(sa[first]) != pattern:
         return None
-    lo, hi = first, n + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if compare(mid) <= 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    return first, lo - 1
+    return first, bisect_right(sa, pattern, first, n + 1, key=window) - 1
 
 
 def compute_bwt_runs(e: SuffixEnsemble) -> int:

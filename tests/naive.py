@@ -3,7 +3,9 @@
 Everything here is deliberately slow and obvious; none of it shares code
 with the structures under test.  ``doubling_suffix_array`` and
 ``kasai_lcp`` are the library's earlier builders, kept as independent
-references that are fast enough for texts of 10^4 symbols.
+references that are fast enough for texts of 10^4 symbols;
+``loop_pattern_range`` is its earlier pattern-range search, kept to pin
+the number of suffix-array reads.
 """
 
 import random
@@ -11,6 +13,9 @@ import random
 import numpy as np
 
 from cpmatch.corpus import Text
+from cpmatch.index import enumerate_occurrences, query
+from cpmatch.rmq import QueryStats
+from cpmatch.suffixes import SuffixEnsemble
 
 
 def naive_suffix_array(t: Text) -> list[int]:
@@ -110,6 +115,53 @@ def naive_pattern_range(
     if not ranks:
         return None
     return ranks[0], ranks[-1]
+
+
+def loop_pattern_range(
+    e: SuffixEnsemble, pattern: list[int], stats: QueryStats | None = None
+) -> tuple[int, int] | None:
+    """Two hand-written binary searches, one suffix-array read per step."""
+    n = e.text.n
+    m = len(pattern)
+    symbols = e.text.symbols
+    sa = e.sa
+
+    def compare(rank: int) -> int:
+        # -1: suffix < q, 0: q is a prefix of the suffix, 1: suffix > q.
+        if stats is not None:
+            stats.sa_accesses += 1
+        pos = sa[rank]
+        window = symbols[pos:pos + m]
+        if window == pattern:
+            return 0
+        return -1 if window < pattern else 1
+
+    lo, hi = 1, n + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if compare(mid) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    first = lo
+    if first > n or compare(first) != 0:
+        return None
+    lo, hi = first, n + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if compare(mid) <= 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return first, lo - 1
+
+
+def answered_contexts(ix, p: list[int], ell: int, strategy) -> dict:
+    """A query's answer in :func:`~cpmatch.oracle.oracle_contexts` form."""
+    matches = query(ix, p, ell, strategy=strategy)
+    out = {m.context: sorted(enumerate_occurrences(ix, m)) for m in matches}
+    assert len(out) == len(matches), "a context was reported twice"
+    return out
 
 
 def naive_occurrence_count(t: Text, q: list[int]) -> int:

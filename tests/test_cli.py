@@ -160,9 +160,16 @@ def test_query_stats(alabar_files, capsys):
             assert captured.out == plain.out
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert list(json.loads(lines[0])) == [
+        record = json.loads(lines[0])
+        assert list(record) == [
             "rmq_calls", "psv_calls", "nsv_calls", "sa_accesses", "contexts", "wall_s",
         ]
+        if pattern == "a":  # the README's example
+            del record["wall_s"]
+            assert record == {
+                "rmq_calls": 9, "psv_calls": 0, "nsv_calls": 2, "sa_accesses": 26,
+                "contexts": 6,
+            }
 
 
 def test_query_strategies_identical_bytes(alabar_files, capsys):

@@ -21,6 +21,7 @@ from cpmatch.index import (
     map_via_psv_nsv,
     query,
 )
+from cpmatch.oracle import oracle_contexts
 from cpmatch.rmq import QueryStats
 
 import alabar_data
@@ -212,3 +213,30 @@ def test_huge_ell_pads_every_context(alabar_index):
     assert all(m.count == 1 for m in matches)
     for m in matches:
         assert len(m.context) == 1 + 2 * ell
+
+
+@pytest.mark.parametrize("raw", [
+    *(b"a" * size for size in (1, 2, 3, 5, 16, 33, 100, 20_000)),
+    bytes(range(1, 256)) * 3,
+], ids=lambda raw: f"{raw[:1].hex()}x{len(raw)}")
+def test_extreme_texts_match_oracle(raw):
+    # On a one-symbol text the LCP array climbs by one per rank, so the
+    # threshold scans walk across every level; on all 255 byte values
+    # nearly every context is a singleton.
+    t = load_text(raw)
+    ix = build_index(t)
+    rng = random.Random(len(raw))
+    ells = [0, 1, 2, rng.randint(3, 9)]
+    if t.n <= 800:
+        ells += [t.n - 1, t.n, t.n + 10]
+    for _ in range(5):
+        p = naive.sample_codes(rng, t, max_len=12)
+        for ell in ells:
+            expected = oracle_contexts(t, p, ell)
+            for strategy in MappingStrategy:
+                assert naive.answered_contexts(ix, p, ell, strategy) == expected
+    lcp = ix.fwd.lcp
+    for _ in range(20):
+        p, d = rng.randint(1, t.n), rng.randint(0, t.n)
+        assert ix.rmq_fwd.psv(p, d) == naive.scan_psv(lcp, p, d)
+        assert ix.rmq_fwd.nsv(p, d) == naive.scan_nsv(lcp, t.n, p, d)

@@ -8,9 +8,11 @@ from cpmatch.corpus import load_text
 from cpmatch.errors import (
     BadMagicError,
     CorruptSectionError,
+    IndexFormatError,
     UnsupportedVersionError,
 )
 from cpmatch.index import MappingStrategy, build_index, query
+from cpmatch.oracle import oracle_contexts
 from cpmatch import persistence
 from cpmatch.persistence import load_index, save_index
 
@@ -253,3 +255,39 @@ def test_swapped_symbol_buckets_caught_by_verify():
         swap_ranks_consistently(broken, blob, reverse, 1, 2)
         with pytest.raises(CorruptSectionError, match="out of order"):
             load_index(io.BytesIO(bytes(broken)))
+
+
+def test_fuzzed_saves_fail_cleanly_or_answer_right():
+    # Seeded bit flips, byte writes and truncations of valid saves: each
+    # mutant raises IndexFormatError or loads, verified, an index whose
+    # answers match the oracle on the text it holds.
+    rng = random.Random(91)
+    raws = [
+        alabar_data.RAW, b"ab", b"a" * 9,
+        naive.random_raw(rng, 40, 4), naive.random_raw(rng, 25, 26),
+    ]
+    outcomes = {"rejected": 0, "loaded": 0}
+    for raw in raws:
+        blob = save_bytes(build_index(load_text(raw)))
+        for trial in range(600):
+            broken = bytearray(blob)
+            kind = trial % 3
+            if kind == 0:
+                broken[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+            elif kind == 1:
+                broken[rng.randrange(len(blob))] = rng.randrange(256)
+            else:
+                del broken[rng.randrange(len(blob)):]
+            try:
+                ix = load_index(io.BytesIO(bytes(broken)))
+            except IndexFormatError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["loaded"] += 1
+            for _ in range(3):
+                p = naive.sample_codes(rng, ix.text)
+                ell = rng.randint(0, 4)
+                expected = oracle_contexts(ix.text, p, ell)
+                for strategy in MappingStrategy:
+                    assert naive.answered_contexts(ix, p, ell, strategy) == expected
+    assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0, outcomes

@@ -8,6 +8,7 @@ from cpmatch.errors import EmptyPatternError, SentinelInPatternError
 from cpmatch.generate import generate_repetitive
 from cpmatch.index import build_index
 from cpmatch.persistence import load_index, save_index
+from cpmatch.rmq import QueryStats
 from cpmatch.suffixes import (
     build_ensemble,
     build_inverse,
@@ -148,6 +149,27 @@ def test_pattern_range_at_the_text_end():
             suffix = t.symbols[start:t.n]
             for q in (suffix, suffix + [rng.randint(1, t.sigma)]):
                 assert find_pattern_range(e, q) == naive.naive_pattern_range(t, e.sa, q)
+
+
+def test_pattern_range_matches_loop_reference():
+    # Same ranges and the same number of suffix-array reads as the two
+    # hand-written searches, on present, absent and overlong patterns.
+    rng = random.Random(79)
+    for sigma in (1, 2, 4):
+        for _ in range(40):
+            t = load_text(naive.random_raw(rng, rng.randint(1, 120), sigma))
+            e = build_ensemble(t)
+            for _ in range(10):
+                start = rng.randint(1, t.n - 1)
+                overlong = t.symbols[start:t.n] + [
+                    rng.randint(1, sigma) for _ in range(rng.randint(1, 3))
+                ]
+                for q in (naive.sample_codes(rng, t), overlong):
+                    got, want = QueryStats(), QueryStats()
+                    assert find_pattern_range(e, q, got) == (
+                        naive.loop_pattern_range(e, q, want)
+                    )
+                    assert got.sa_accesses == want.sa_accesses
 
 
 def test_bwt_runs_single_letter():
