@@ -100,6 +100,8 @@ def _log_line(record: dict) -> None:
     handler = logging.StreamHandler(sys.stderr)
     _log.addHandler(handler)
     _log.setLevel(logging.INFO)
+    # A root handler set up by the embedding program would print it again.
+    _log.propagate = False
     try:
         _log.info(json.dumps(record))
     finally:

@@ -25,12 +25,15 @@ steps 2 and 3.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .corpus import SENTINEL, Text, reverse_text
 from .errors import BoundaryPartError, NonSingletonBoundaryError
-from .rmq import QueryStats, RmqStructure, partition_interval
+from .rmq import QueryStats, RmqStructure, pack, partition_interval
 from .suffixes import SuffixEnsemble, build_ensemble, find_pattern_range
 
 #: In-memory marker for the one undefined rank-translation entry.
@@ -51,13 +54,15 @@ class CpmIndex:
     ``c_array[i]`` is the forward rank of the suffix starting where the
     reverse suffix of rank ``i`` ends, ``fwd.isa[n - rev.sa[i]]``; the single
     entry with ``rev.sa[i] = n`` is undefined and stored as ``C_UNDEFINED``.
-    Immutable after construction; queries never mutate it.
+    Like the suffix, inverse and LCP arrays of both ensembles, it is a
+    packed 1-based array (see :func:`~cpmatch.rmq.pack`).  Immutable after
+    construction; queries never mutate it.
     """
 
     text: Text
     fwd: SuffixEnsemble
     rev: SuffixEnsemble
-    c_array: list[int]
+    c_array: array
     rmq_fwd: RmqStructure
     rmq_rev: RmqStructure
     rmq_c: RmqStructure
@@ -94,21 +99,18 @@ def build_index(t: Text) -> CpmIndex:
     """Build both ensembles, the rank-translation array, and rmq tables."""
     fwd = build_ensemble(t)
     rev = build_ensemble(reverse_text(t))
-    # A comprehension shares its int objects with ``fwd.isa``, where a
-    # numpy round trip would make new ones.  The entry with
-    # ``rev.sa[i] = n`` reads the padding ``fwd.isa[0]``, C_UNDEFINED.
-    n = t.n
-    isa = fwd.isa
-    c_array = [isa[n - start] for start in rev.sa]
+    # The entry with ``rev.sa[i] = n`` reads the padding ``fwd.isa[0]``,
+    # C_UNDEFINED.
+    c_array = np.asarray(fwd.isa)[t.n - np.asarray(rev.sa)]
     c_array[0] = C_UNDEFINED
-    return assemble_index(t, fwd, rev, c_array)
+    return assemble_index(t, fwd, rev, pack(c_array, t.n))
 
 
 def assemble_index(
     t: Text,
     fwd: SuffixEnsemble,
     rev: SuffixEnsemble,
-    c_array: list[int],
+    c_array: array,
 ) -> CpmIndex:
     """Attach fresh acceleration tables to already-built base arrays."""
     return CpmIndex(

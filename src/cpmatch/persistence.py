@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .index import C_UNDEFINED, CpmIndex, assemble_index
-from .rmq import RmqStructure
+from .rmq import RmqStructure, pack
 from .suffixes import SuffixEnsemble, build_inverse
 
 MAGIC = b"CPMX"
@@ -56,26 +56,23 @@ _BAD_LCP = "LCP array inconsistent with the text"
 _BAD_C_MAP = "rank-translation array inconsistent"
 
 
-def _pack(values: list[int]) -> bytes:
-    return struct.pack(f"<{len(values)}Q", *values)
-
-
 def save_index(ix: CpmIndex, sink: BinaryIO) -> int:
     """Write the index to ``sink``; returns the number of bytes written."""
     t = ix.text
-    # struct packs the list sections faster than numpy converts them; the
-    # undefined entry is swapped faster as an array.
-    c_map = np.asarray(ix.c_array[1:], dtype=np.uint64)
-    c_on_disk = np.where(c_map == C_UNDEFINED, np.uint64(_UNDEF_ON_DISK), c_map)
+    c_map = np.asarray(ix.c_array)[1:].astype("<u8")
+    c_map[c_map == C_UNDEFINED] = _UNDEF_ON_DISK
     sections = [
-        _pack(list(t.byte_for_code[1:])),
-        _pack(t.symbols),
-        _pack(ix.fwd.sa[1:]),
-        _pack(ix.fwd.isa[1:]),
-        _pack(ix.fwd.lcp[1:]),
-        _pack(ix.rev.sa[1:]),
-        _pack(ix.rev.lcp[1:]),
-        c_on_disk.astype("<u8").tobytes(),
+        np.asarray(values, dtype="<u8").tobytes()
+        for values in (
+            t.byte_for_code[1:],
+            t.symbols,
+            np.asarray(ix.fwd.sa)[1:],
+            np.asarray(ix.fwd.isa)[1:],
+            np.asarray(ix.fwd.lcp)[1:],
+            np.asarray(ix.rev.sa)[1:],
+            np.asarray(ix.rev.lcp)[1:],
+            c_map,
+        )
     ]
     header = [MAGIC, struct.pack("<I", VERSION), struct.pack("<QQ", t.n, t.sigma)]
     offset = _HEADER_SIZE
@@ -158,28 +155,20 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
         code_for_byte={b: c for c, b in enumerate(byte_values, start=1)},
         byte_for_code=(0, *byte_values),
     )
-    fwd = SuffixEnsemble(
-        sa=_padded(fwd_sa), isa=_padded(fwd_isa), lcp=_padded(fwd_lcp), text=text
+    # Each rank section becomes a 1-based array after a padding zero.
+    c_map = np.where(c_disk == _UNDEF_ON_DISK, C_UNDEFINED, c_disk)
+    sa, isa, lcp, sa_rev, lcp_rev, c_array = (
+        pack(np.insert(values, 0, 0), n)
+        for values in (fwd_sa, fwd_isa, fwd_lcp, rev_sa, rev_lcp, c_map)
     )
-    rev_sa_full = _padded(rev_sa)
+    fwd = SuffixEnsemble(sa=sa, isa=isa, lcp=lcp, text=text)
     rev = SuffixEnsemble(
-        sa=rev_sa_full,
-        isa=build_inverse(rev_sa_full),
-        lcp=_padded(rev_lcp),
-        text=reverse_text(text),
+        sa=sa_rev, isa=build_inverse(sa_rev), lcp=lcp_rev, text=reverse_text(text)
     )
-    c_array = _padded(np.where(c_disk == _UNDEF_ON_DISK, C_UNDEFINED, c_disk))
     ix = assemble_index(text, fwd, rev, c_array)
     if verify:
         _verify_arrays(ix, sections)
     return ix
-
-
-def _padded(values: np.ndarray) -> list[int]:
-    """A 1-based list: the values after a padding zero in slot 0."""
-    out = values.tolist()
-    out.insert(0, 0)
-    return out
 
 
 def _outside(values: np.ndarray, lo: int, hi: int) -> bool:
@@ -189,11 +178,11 @@ def _outside(values: np.ndarray, lo: int, hi: int) -> bool:
 def _verify_arrays(ix: CpmIndex, sections: list[np.ndarray]) -> None:
     # Runs on the on-disk arrays, after the range checks and both
     # permutation checks; the LCP sparse tables of ``ix`` are already built.
-    _, symbols, fwd_sa, fwd_isa, fwd_lcp, rev_sa, rev_lcp, c_disk = sections
+    _, symbols, fwd_sa, fwd_isa, _, rev_sa, _, c_disk = sections
     n = ix.text.n
     codes = symbols.astype(np.uint8)
-    isa = _check_ensemble(fwd_sa, fwd_lcp, codes, ix.rmq_fwd)
-    _check_ensemble(rev_sa, rev_lcp, codes[::-1], ix.rmq_rev)
+    isa = _check_ensemble(fwd_sa, codes, ix.rmq_fwd)
+    _check_ensemble(rev_sa, codes[::-1], ix.rmq_rev)
     for lo in range(0, n, _VERIFY_BLOCK):
         hi = min(lo + _VERIFY_BLOCK, n)
         if (fwd_isa[lo:hi] != isa[lo + 1:hi + 1]).any():
@@ -206,9 +195,9 @@ def _verify_arrays(ix: CpmIndex, sections: list[np.ndarray]) -> None:
 
 
 def _check_ensemble(
-    sa: np.ndarray, lcp: np.ndarray, codes: np.ndarray, rmq: RmqStructure
+    sa: np.ndarray, codes: np.ndarray, rmq: RmqStructure
 ) -> np.ndarray:
-    """Check that a permutation ``sa`` is sorted and ``lcp`` is its LCP array.
+    """Check that a permutation ``sa`` is sorted and ``rmq.array`` its LCP.
 
     Both checks are O(n) and need no symbol-by-symbol comparison.  Order
     (Burkhardt & Kaerkkaeinen, CPM 2003): for rank-adjacent suffixes ``a``,
@@ -225,9 +214,8 @@ def _check_ensemble(
     dtype = np.int32 if n + 2 < 2**31 else np.int64
     isa = np.zeros(n + 2, dtype=dtype)
     isa[sa.astype(dtype)] = np.arange(1, n + 1, dtype=dtype)
-    values = np.zeros(n + 1, dtype=dtype)
-    values[1:] = lcp
-    if values[1] != 0:
+    lcp = np.asarray(rmq.array)
+    if lcp[1] != 0:
         raise CorruptSectionError(_BAD_LCP)
     # Blocks of ranks keep the temporaries small whatever n is.
     for lo in range(1, n, _VERIFY_BLOCK):
@@ -242,7 +230,7 @@ def _check_ensemble(
         if (first_a > first_b).any() or (next_a >= next_b).any():
             raise CorruptSectionError("suffix array ranks out of order")
         expected = np.zeros(hi - lo, dtype=dtype)
-        expected[same] = rmq.range_minima(values, next_a + 1, next_b) + 1
-        if (values[lo + 1:hi + 1] != expected).any():
+        expected[same] = rmq.range_minima(next_a + 1, next_b) + 1
+        if (lcp[lo + 1:hi + 1] != expected).any():
             raise CorruptSectionError(_BAD_LCP)
     return isa

@@ -1,9 +1,11 @@
 """Range-minimum queries, threshold scans, and interval partitioning.
 
 All structures here operate on frozen 1-based integer arrays (slot 0 is
-padding).  The sparse table keeps, for every power-of-two width, one packed
-row of 4-byte positions (8-byte only when n >= 2**31) and reads values
-through the base array, about 4 * n * log2(n) bytes in all.  It answers
+padding).  :func:`pack` gives the index's base arrays and the sparse-table
+rows their one representation: a packed ``array('i')`` of 4-byte integers,
+``'q'`` only when n >= 2**31.  The sparse table keeps, for every
+power-of-two width, one packed row of positions and reads values through
+the base array, about 4 * n * log2(n) bytes in all.  It answers
 range minima in O(1); each threshold scan is one walk down its levels, in
 O(log n).  The table is built level by level from contiguous slices of the
 previous level's positions and minima, in O(n log n) array work.
@@ -13,10 +15,25 @@ from __future__ import annotations
 
 from array import array as packed_array
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyArrayError, InvalidPositionError, InvalidRangeError
+
+
+def pack(values: np.ndarray, n: int) -> packed_array:
+    """``values``, each in ``0..n``, as one packed array.
+
+    4-byte integers (``'i'``), or 8-byte (``'q'``) when n >= 2**31.  Indexing
+    it reads like a list; ``np.asarray`` of it is a zero-copy view.  It
+    compares equal to another array, not to a list: compare ``list(...)``.
+    """
+    # Repeating one item allocates the exact size; filling it through a
+    # view is one copy, with no bytes object in between.
+    out = packed_array("i" if n < 2**31 else "q", [0]) * len(values)
+    np.asarray(out)[:] = values
+    return out
 
 
 @dataclass
@@ -54,27 +71,23 @@ class RmqStructure:
     leftmost position so every answer is deterministic.
     """
 
-    def __init__(self, array: list[int]):
+    def __init__(self, array: Sequence[int]):
         """Build the rows in O(n log n) array work.
 
         Row ``k`` comes from row ``k - 1`` and the minima at its positions,
         which are kept beside it: two contiguous slices of each, one compare
         and two ``np.where``, with no value gathered through ``array``.
-        Minima that fit 4 bytes, as LCP values and ranks do, take the rows'
-        4-byte type.  Transient memory is three rows' worth of positions
-        and minima.
+        The minima start as a zero-copy view of a packed ``array``.
+        Transient memory is three rows' worth of positions and minima.
         """
         n = len(array) - 1
         if n < 1:
             raise EmptyArrayError("range-minimum structure needs n >= 1")
         self.array = array
         self.n = n
-        typecode = "i" if n < 2**31 else "q"
-        minima = np.asarray(array, dtype=np.int64)[1:]
-        if typecode == "i" and minima.min() >= -(2**31) and minima.max() < 2**31:
-            minima = minima.astype(np.int32)
-        row = np.arange(1, n + 1, dtype=typecode)
-        rows = [packed_array(typecode, row.tobytes())]
+        minima = np.asarray(array)[1:]
+        rows = [pack(np.arange(1, n + 1), n)]
+        row = np.asarray(rows[0])
         width = 2
         while width <= n:
             half = width // 2
@@ -85,23 +98,21 @@ class RmqStructure:
             take_right = right < left
             row = np.where(take_right, row[half:half + span], row[:span])
             minima = np.where(take_right, right, left)
-            rows.append(packed_array(typecode, row.tobytes()))
+            rows.append(pack(row, n))
             width *= 2
         self._pos = rows
 
-    def range_minima(
-        self, values: np.ndarray, lo: np.ndarray, hi: np.ndarray
-    ) -> np.ndarray:
-        """Minimum of ``values[lo[x]..hi[x]]`` for every ``x``, uncounted.
+    def range_minima(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Minimum of ``array[lo[x]..hi[x]]`` for every ``x``, uncounted.
 
-        ``values`` is this structure's array as a numpy array, slot 0
-        included, and every range must satisfy ``1 <= lo <= hi <= n``.
+        Every range must satisfy ``1 <= lo <= hi <= n``.
         """
+        values = np.asarray(self.array)
         level = np.frexp(hi - lo + 1)[1] - 1
         out = np.empty(len(lo), dtype=values.dtype)
         for k in range(int(level.max(initial=0)) + 1):
             sel = np.flatnonzero(level == k)
-            row = np.frombuffer(self._pos[k], dtype=self._pos[k].typecode)
+            row = np.asarray(self._pos[k])
             out[sel] = np.minimum(
                 values[row[lo[sel] - 1]], values[row[hi[sel] - (1 << k)]]
             )

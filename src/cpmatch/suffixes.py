@@ -1,18 +1,20 @@
 """Suffix array, inverse, LCP array, pattern-range search, BWT run counts.
 
-Arrays are 1-based lists with a padding zero in slot 0, covering the suffix
+Arrays are 1-based, with a padding zero in slot 0, covering the suffix
 start positions ``1..n`` of a remapped text; the suffix of the leading
-terminator at position 0 is deliberately excluded.
+terminator at position 0 is deliberately excluded.  Each is a packed
+``array('i')`` (``'q'`` when n >= 2**31) made by :func:`~cpmatch.rmq.pack`.
 
 The builders are whole-array numpy passes: prefix doubling that re-sorts
 only unresolved suffixes, an LCP array read off per-level prefix classes,
-and one scatter for the inverse.  Each converts its result to a list once;
-the suffix array comes as an :class:`IntList`, so that the inverse and LCP
-builds read its numpy copy instead of converting the list back.
+and one scatter for the inverse.  They read their input arrays through
+``np.asarray``, a zero-copy view of a packed array, and pack their result
+once.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,39 +23,20 @@ import numpy as np
 
 from .corpus import SENTINEL, Text
 from .errors import EmptyPatternError, SentinelInPatternError
-from .rmq import QueryStats
+from .rmq import QueryStats, pack
 
 
 @dataclass(frozen=True)
 class SuffixEnsemble:
-    """Suffix array, its inverse, and the LCP array for one text."""
+    """Suffix array, its inverse, and the LCP array for one text.
 
-    sa: list[int]
-    isa: list[int]
-    lcp: list[int]
-    text: Text
-
-
-class IntList(list):
-    """A list of ints that also holds them as a numpy array, ``values``.
-
-    :func:`build_suffix_array` returns one, so that :func:`build_inverse`
-    and :func:`build_lcp` read the array instead of converting the list
-    back.  Indexes store plain lists: CPython indexes an exact list faster
-    than a subclass.
+    Each is a packed 1-based array (see :func:`~cpmatch.rmq.pack`).
     """
 
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray):
-        super().__init__(values.tolist())
-        self.values = values
-
-
-def _as_array(values: list[int]) -> np.ndarray:
-    if isinstance(values, IntList):
-        return values.values
-    return np.asarray(values, dtype=np.int64)
+    sa: array
+    isa: array
+    lcp: array
+    text: Text
 
 
 def _codes(t: Text) -> np.ndarray:
@@ -61,7 +44,7 @@ def _codes(t: Text) -> np.ndarray:
     return np.frombuffer(bytes(t.symbols), dtype=np.uint8)
 
 
-def build_suffix_array(t: Text) -> list[int]:
+def build_suffix_array(t: Text) -> array:
     """Start positions ``1..n`` sorted by suffix, via prefix doubling.
 
     The first sort orders the suffixes by their first ``k`` symbols, packed
@@ -118,18 +101,18 @@ def build_suffix_array(t: Text) -> list[int]:
         pos = pos[order]
         sa[slots] = pos
         k <<= 1
-    return IntList(sa)
+    return pack(sa, n)
 
 
-def build_inverse(sa: list[int]) -> list[int]:
+def build_inverse(sa: Sequence[int]) -> array:
     """Inverse permutation: ``isa[sa[i]] = i``, by one scatter."""
-    values = _as_array(sa)
+    values = np.asarray(sa)
     isa = np.zeros(len(values), dtype=values.dtype)
     isa[values[1:]] = np.arange(1, len(values), dtype=values.dtype)
-    return isa.tolist()
+    return pack(isa, len(values) - 1)
 
 
-def build_lcp(t: Text, sa: list[int]) -> list[int]:
+def build_lcp(t: Text, sa: Sequence[int]) -> array:
     """Longest-common-prefix lengths of rank-adjacent suffixes.
 
     Level ``j`` gives every position the class of its ``2**j``-symbol
@@ -148,8 +131,8 @@ def build_lcp(t: Text, sa: list[int]) -> list[int]:
     ``4 * n * ceil(log2(L + 1))`` bytes.
     """
     n = t.n
-    order = _as_array(sa)[1:]
-    dtype = order.dtype
+    dtype = np.int32 if n < 2**30 else np.int64  # positions plus offsets fit
+    order = np.asarray(sa, dtype=dtype)[1:]
     codes = _codes(t)
     first = codes[order]
     differ = first[1:] != first[:-1]
@@ -175,14 +158,14 @@ def build_lcp(t: Text, sa: list[int]) -> list[int]:
         common += agree.astype(dtype) << j
     lcp = np.zeros(n + 1, dtype=dtype)
     lcp[2:] = common
-    return lcp.tolist()
+    return pack(lcp, n)
 
 
 def build_ensemble(t: Text) -> SuffixEnsemble:
     sa = build_suffix_array(t)
-    isa = build_inverse(sa)
-    lcp = build_lcp(t, sa)
-    return SuffixEnsemble(sa=list(sa), isa=isa, lcp=lcp, text=t)
+    return SuffixEnsemble(
+        sa=sa, isa=build_inverse(sa), lcp=build_lcp(t, sa), text=t
+    )
 
 
 def find_pattern_range(
@@ -220,5 +203,5 @@ def find_pattern_range(
 
 def compute_bwt_runs(e: SuffixEnsemble) -> int:
     """Number of maximal equal-symbol runs in ``symbols[sa[i] - 1]``."""
-    bwt = _codes(e.text)[_as_array(e.sa)[1:] - 1]
+    bwt = _codes(e.text)[np.asarray(e.sa)[1:] - 1]
     return 1 + int(np.count_nonzero(bwt[1:] != bwt[:-1]))

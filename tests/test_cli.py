@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import subprocess
 import sys
 
@@ -170,6 +171,28 @@ def test_query_stats(alabar_files, capsys):
                 "rmq_calls": 9, "psv_calls": 0, "nsv_calls": 2, "sa_accesses": 26,
                 "contexts": 6,
             }
+
+
+def test_json_lines_once_with_root_logging(alabar_files, capsys):
+    # An embedding program that configured the root logger still gets one
+    # line from each command, not a second copy through the root handler.
+    text, idx = alabar_files
+    root = logging.getLogger()
+    saved = root.handlers[:]
+    root.handlers.clear()
+    try:
+        logging.basicConfig()
+        capsys.readouterr()
+        for args in (
+            ["query", str(idx), "--pattern", "a", "--context", "1", "--stats"],
+            ["build", str(text), "-o", str(idx), "--verbose"],
+        ):
+            assert cli.main(args) == 0
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            json.loads(lines[0])
+    finally:
+        root.handlers[:] = saved
 
 
 def test_query_strategies_identical_bytes(alabar_files, capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -32,13 +33,13 @@ A = [alabar_data.CODE["a"]]
 
 def test_alabar_c_array(alabar_index):
     assert alabar_index.c_array[1] == C_UNDEFINED
-    assert alabar_index.c_array == alabar_data.C_MAP
+    assert list(alabar_index.c_array) == alabar_data.C_MAP
 
 
 def test_minimal_index():
     ix = build_index(load_text(b"a"))
     assert ix.text.n == 2
-    assert ix.fwd.sa == [0, 2, 1]
+    assert list(ix.fwd.sa) == [0, 2, 1]
 
 
 def test_c_array_matches_definition_on_random_texts():
@@ -51,6 +52,26 @@ def test_c_array_matches_definition_on_random_texts():
                 assert ix.c_array[i] == C_UNDEFINED
             else:
                 assert ix.c_array[i] == ix.fwd.isa[t.n - ix.rev.sa[i]]
+
+
+def test_index_memory_is_packed():
+    # Bounds retained memory only: 4 bytes per base-array entry fits, a
+    # boxed Python int per entry (about 190 bytes per text byte) does not.
+    n = 1 << 16
+    rng = random.Random(11)
+    t = load_text(naive.random_raw(rng, n - 1, 4))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ix = build_index(t)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    tables = 3 * 4 * n.bit_length() * n  # a 4-byte position per entry and level
+    base = 7 * 4 * n  # sa, isa and lcp of both ensembles, and c_array
+    reversed_text = 8 * n  # one list slot per symbol
+    assert retained <= tables + base + reversed_text
+    assert ix.text.n == n
 
 
 def expected_a_ell1():

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import random
 import struct
+from array import array
 
 import pytest
 
@@ -11,6 +13,7 @@ from cpmatch.errors import (
     IndexFormatError,
     UnsupportedVersionError,
 )
+from cpmatch.generate import generate_repetitive
 from cpmatch.index import MappingStrategy, build_index, query
 from cpmatch.oracle import oracle_contexts
 from cpmatch import persistence
@@ -51,6 +54,27 @@ def test_save_is_deterministic(alabar_index):
     assert save_bytes(alabar_index) == blob
     reloaded = load_index(io.BytesIO(blob))
     assert save_bytes(reloaded) == blob
+
+
+@pytest.mark.parametrize("raw, digest", [
+    (alabar_data.RAW,
+     "5822a0053b9c41b758d8290394c6d86a592144997724068dfc08e782513cc600"),
+    (generate_repetitive(200, 3, 0.05, 1),
+     "d35784e50add7483d6a4a44b6571c1dec2eaacb41bc82d61dd00ef8aff39e7ea"),
+])
+def test_format_bytes_are_pinned(raw, digest):
+    # Digests of format version 1 saves; any change to a section's bytes
+    # shows here, where repeated saves by the same code cannot show it.
+    blob = save_bytes(build_index(load_text(raw)))
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_base_arrays_are_packed(alabar_index):
+    loaded = load_index(io.BytesIO(save_bytes(alabar_index)))
+    for ix in (alabar_index, loaded):
+        for values in (ix.fwd.sa, ix.fwd.isa, ix.fwd.lcp,
+                       ix.rev.sa, ix.rev.isa, ix.rev.lcp, ix.c_array):
+            assert isinstance(values, array) and values.itemsize == 4
 
 
 def test_round_trip_arrays_and_queries(alabar_index):

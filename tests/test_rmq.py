@@ -1,10 +1,11 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cpmatch.errors import EmptyArrayError, InvalidPositionError, InvalidRangeError
-from cpmatch.rmq import QueryStats, RmqStructure, partition_interval
+from cpmatch.rmq import QueryStats, RmqStructure, pack, partition_interval
 
 import alabar_data
 import naive
@@ -143,6 +144,13 @@ def test_table_memory_is_packed_positions():
     levels = n.bit_length()  # floor(log2 n) + 1
     assert retained <= 6 * levels * n
     assert s.rmq(1, n) == naive.scan_rmq(array, 1, n)
+
+
+def test_pack_widens_only_past_four_bytes():
+    narrow = pack(np.array([0, 7, 5]), 7)
+    assert narrow.itemsize == 4 and list(narrow) == [0, 7, 5]
+    wide = pack(np.array([0, 2**31, 5]), 2**31)
+    assert wide.itemsize == 8 and list(wide) == [0, 2**31, 5]
 
 
 def test_stats_count_only_public_calls(lcp_struct):
