@@ -204,6 +204,9 @@ def _excerpt(t: Text) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.queries < 0 or args.max_ell < 0:
+        print("error: --queries and --max-ell must be >= 0", file=sys.stderr)
+        return 2
     t = _load_text_file(args.text)
     ix = build_index(t)
     rng = random.Random(args.seed)
@@ -286,6 +289,9 @@ def _bench_queries(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.random is not None and args.random < 0:
+        print("error: --random must be >= 0", file=sys.stderr)
+        return 2
     patterns = None
     if args.patterns:
         try:

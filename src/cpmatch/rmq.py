@@ -184,30 +184,36 @@ def partition_interval(
 ) -> list[tuple[int, int]]:
     """Split ``[lo..hi]`` at every interior position with value < threshold.
 
-    Returns maximal consecutive subintervals covering the range: the first
-    starts at ``lo`` and each further start is a position in ``(lo..hi]``
-    whose array value falls below the threshold.  Runs O(k) counted rmq
-    calls for k returned parts (at most 2k - 1).
+    Returns maximal consecutive subintervals covering the range, in order:
+    the first starts at ``lo`` and each further start is a position in
+    ``(lo..hi]`` whose array value falls below the threshold.  A one-rank
+    range returns at once, with no rmq call.  Otherwise it runs O(k) counted
+    rmq calls for k returned parts (at most 2k - 1), walking the splits in
+    order from one stack, so no sort is needed.
     """
     if threshold < 1 or not 1 <= lo <= hi <= struct.n:
         raise InvalidRangeError(
             f"partition range [{lo}..{hi}] at depth {threshold} is invalid"
         )
-    splits: list[int] = []
-    pending = [(lo + 1, hi)]
+    if lo == hi:
+        return [(lo, hi)]
+    array = struct.array
+    rmq = struct.rmq
+    parts = []
+    start = lo
+    # A range ``(s, e)`` is still to be searched; ``(p, None)`` is a split
+    # at ``p``, popped only after every split left of it.
+    pending: list[tuple[int, int | None]] = [(lo + 1, hi)]
     while pending:
         s, e = pending.pop()
-        if s > e:
-            continue
-        p = struct.rmq(s, e, stats)
-        if struct.array[p] < threshold:
-            splits.append(p)
-            pending.append((s, p - 1))
-            pending.append((p + 1, e))
-    splits.sort()
-    starts = [lo, *splits]
-    parts = []
-    for idx, start in enumerate(starts):
-        end = starts[idx + 1] - 1 if idx + 1 < len(starts) else hi
-        parts.append((start, end))
+        if e is None:
+            parts.append((start, s - 1))
+            start = s
+        elif s <= e:
+            p = rmq(s, e, stats)
+            if array[p] < threshold:
+                pending.append((p + 1, e))
+                pending.append((p, None))
+                pending.append((s, p - 1))
+    parts.append((start, hi))
     return parts

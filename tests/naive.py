@@ -5,7 +5,11 @@ with the structures under test.  ``doubling_suffix_array`` and
 ``kasai_lcp`` are the library's earlier builders, kept as independent
 references that are fast enough for texts of 10^4 symbols;
 ``loop_pattern_range`` is its earlier pattern-range search, kept to pin
-the number of suffix-array reads.
+the number of suffix-array reads; ``sorted_partition_reference`` is its
+earlier sort-based interval partition, kept to pin the parts, their order
+and the number of rmq calls; it is the one reference that calls a
+structure under test, ``RmqStructure.rmq``, so that the calls can be
+counted alike.
 """
 
 import random
@@ -14,7 +18,7 @@ import numpy as np
 
 from cpmatch.corpus import Text
 from cpmatch.index import enumerate_occurrences, query
-from cpmatch.rmq import QueryStats
+from cpmatch.rmq import QueryStats, RmqStructure
 from cpmatch.suffixes import SuffixEnsemble
 
 
@@ -99,6 +103,34 @@ def scan_nsv(array: list[int], n: int, p: int, d: int) -> int:
         if array[q] < d:
             return q
     return n + 1
+
+
+def sorted_partition_reference(
+    struct: RmqStructure,
+    lo: int,
+    hi: int,
+    threshold: int,
+    stats: QueryStats | None = None,
+) -> list[tuple[int, int]]:
+    """Collect every split from a stack of ranges, then sort them."""
+    splits: list[int] = []
+    pending = [(lo + 1, hi)]
+    while pending:
+        s, e = pending.pop()
+        if s > e:
+            continue
+        p = struct.rmq(s, e, stats)
+        if struct.array[p] < threshold:
+            splits.append(p)
+            pending.append((s, p - 1))
+            pending.append((p + 1, e))
+    splits.sort()
+    starts = [lo, *splits]
+    parts = []
+    for idx, start in enumerate(starts):
+        end = starts[idx + 1] - 1 if idx + 1 < len(starts) else hi
+        parts.append((start, end))
+    return parts
 
 
 def naive_bwt_runs(t: Text, sa: list[int]) -> int:

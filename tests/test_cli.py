@@ -341,6 +341,22 @@ def test_bench_pattern_file_errors(alabar_files, tmp_path, capsys, bad_line):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "TEXT", "--max-ell", "-1"],
+    ["verify", "TEXT", "--queries", "-3"],
+    ["bench", "INDEX", "--random", "-2", "--csv", "OUT"],
+])
+def test_negative_counts_are_usage_errors(alabar_files, tmp_path, capsys, command):
+    text, idx = alabar_files
+    out_csv = tmp_path / "out.csv"
+    paths = {"TEXT": str(text), "INDEX": str(idx), "OUT": str(out_csv)}
+    assert cli.main([paths.get(arg, arg) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not out_csv.exists()
+
+
 def test_gen_corpus_deterministic(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

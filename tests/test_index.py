@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -12,6 +13,7 @@ from cpmatch.errors import (
 )
 from cpmatch.index import (
     C_UNDEFINED,
+    ContextMatch,
     MappingStrategy,
     QueryTrace,
     build_index,
@@ -102,6 +104,27 @@ def test_query_a_ell0(alabar_index):
     m = matches[0]
     assert (m.ds, m.de, m.count) == (2, 9, 8)
     assert m.context == tuple(A)
+
+
+def test_context_match_contract(alabar_index):
+    # Matches from both the interior path and the boundary path ($al) are
+    # frozen dataclasses: they compare, hash, replace and print like one
+    # built through the public constructor.
+    matches = query(alabar_index, A, 1)
+    assert {m.p_offset for m in matches} == {0, 1}
+    for match in matches:
+        fields = {f.name: getattr(match, f.name) for f in dataclasses.fields(match)}
+        built = ContextMatch(**fields)
+        assert type(match) is ContextMatch
+        assert match == built and hash(match) == hash(built)
+        assert repr(match) == repr(built) == (
+            "ContextMatch(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            match.ds = 99
+        moved = dataclasses.replace(match, ds=match.ds + 100)
+        assert type(moved) is ContextMatch
+        assert moved == ContextMatch(**{**fields, "ds": match.ds + 100})
 
 
 def test_query_absent_pattern(alabar_index):

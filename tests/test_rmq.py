@@ -178,6 +178,35 @@ def test_partition_singleton(lcp_struct):
     assert partition_interval(lcp_struct, 9, 9, 4) == [(9, 9)]
 
 
+def test_partition_matches_sorted_reference():
+    # Same parts, same order, same rmq calls as the sort-based reference,
+    # for every range of random, tie-heavy and two-valued arrays.
+    rng = random.Random(16)
+    cases = []
+    for n in (1, 2, 3, 7, 16, 33, 64):
+        for array in ([0] + [rng.randint(0, 9) for _ in range(n)],
+                      [0] + [3] * n,
+                      [0] + [rng.choice((2, 5)) for _ in range(n)]):
+            cases.append((array, (1, 3, 5, 6)))
+    cases.append(([0] + [rng.choice((2, 5)) for _ in range(300)], (3,)))
+    cases.append(([0] + [rng.randint(0, 4) for _ in range(150)], (2,)))
+    for array, thresholds in cases:
+        n = len(array) - 1
+        s = RmqStructure(array)
+        for lo in range(1, n + 1):
+            for hi in range(lo, n + 1):
+                for threshold in thresholds:
+                    got_stats, ref_stats = QueryStats(), QueryStats()
+                    got = partition_interval(s, lo, hi, threshold, got_stats)
+                    ref = naive.sorted_partition_reference(
+                        s, lo, hi, threshold, ref_stats
+                    )
+                    assert got == ref, (array, lo, hi, threshold)
+                    assert got_stats.rmq_calls == ref_stats.rmq_calls
+                    if lo == hi:
+                        assert got_stats.rmq_calls == 0
+
+
 def test_partition_validation(lcp_struct):
     with pytest.raises(InvalidRangeError):
         partition_interval(lcp_struct, 5, 4, 2)
