@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import EmptyInputError, SentinelByteError
 
@@ -46,19 +46,21 @@ def load_text(raw: bytes) -> Text:
             "input contains the reserved terminator byte 0x00"
         )
     distinct = sorted(set(raw))
-    code_for_byte = {b: c for c, b in enumerate(distinct, start=1)}
-    table = bytearray(256)
-    for b, c in code_for_byte.items():
-        table[b] = c
+    table = bytes.maketrans(bytes(distinct), bytes(range(1, len(distinct) + 1)))
     symbols = [SENTINEL]
     symbols.extend(raw.translate(table))
     symbols.append(SENTINEL)
+    return make_text(symbols, distinct)
+
+
+def make_text(symbols: list[int], alphabet: Sequence[int]) -> Text:
+    """Text of terminated ``symbols``; code ``c`` is the byte ``alphabet[c - 1]``."""
     return Text(
         symbols=symbols,
-        n=len(raw) + 1,
-        sigma=len(distinct),
-        code_for_byte=code_for_byte,
-        byte_for_code=(SENTINEL_BYTE, *distinct),
+        n=len(symbols) - 1,
+        sigma=len(alphabet),
+        code_for_byte={b: c for c, b in enumerate(alphabet, start=1)},
+        byte_for_code=(SENTINEL_BYTE, *alphabet),
     )
 
 

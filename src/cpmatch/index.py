@@ -127,11 +127,19 @@ def build_index(t: Text) -> CpmIndex:
     """Build both ensembles, the rank-translation array, and rmq tables."""
     fwd = build_ensemble(t)
     rev = build_ensemble(reverse_text(t))
-    # The entry with ``rev.sa[i] = n`` reads the padding ``fwd.isa[0]``,
-    # C_UNDEFINED.
-    c_array = np.asarray(fwd.isa)[t.n - np.asarray(rev.sa)]
+    return assemble_index(t, fwd, rev, translate_ranks(fwd, rev))
+
+
+def translate_ranks(fwd: SuffixEnsemble, rev: SuffixEnsemble) -> array:
+    """The rank-translation array, ``fwd.isa[n - rev.sa[i]]`` at rank ``i``.
+
+    The entry with ``rev.sa[i] = n`` reads the padding ``fwd.isa[0]``,
+    C_UNDEFINED.
+    """
+    n = fwd.text.n
+    c_array = np.asarray(fwd.isa)[n - np.asarray(rev.sa)]
     c_array[0] = C_UNDEFINED
-    return assemble_index(t, fwd, rev, pack(c_array, t.n))
+    return pack(c_array, n)
 
 
 def assemble_index(

@@ -18,25 +18,25 @@ Layout, all integers little-endian and fixed width:
         7  c_map      n values; the undefined entry is stored as 2**64 - 1
 
 Every value is u64 regardless of n, trading bytes for format stability.
-Acceleration tables and the reverse inverse array are rebuilt on load, so
-the format stays independent of those implementation choices.  Output is a
-pure function of the index: saving twice yields identical bytes.
+Acceleration tables are rebuilt on load, and ``fwd_isa`` and ``c_map`` are
+derived again from the suffix arrays, which the stored copies must equal.
+Output is a pure function of the index: saving twice yields identical bytes.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .corpus import SENTINEL, Text, reverse_text
+from .corpus import SENTINEL, make_text, reverse_text
 from .errors import (
     BadMagicError,
     CorruptSectionError,
     UnsupportedVersionError,
 )
-from .index import C_UNDEFINED, CpmIndex, assemble_index
+from .index import C_UNDEFINED, CpmIndex, assemble_index, translate_ranks
 from .rmq import RmqStructure, pack
 from .suffixes import SuffixEnsemble, build_inverse
 
@@ -50,6 +50,9 @@ _UNDEF_ON_DISK = (1 << 64) - 1
 #: Ranks per vectorised step of the load-time order and LCP checks.
 _VERIFY_BLOCK = 1 << 15
 
+#: Largest single read, so that memory grows only with the bytes present.
+_READ_PIECE = 1 << 24
+
 _NOT_PERMUTATION = "suffix array is not a permutation of 1..n"
 _NOT_INVERSE = "inverse does not invert the suffix array"
 _BAD_LCP = "LCP array inconsistent with the text"
@@ -59,8 +62,6 @@ _BAD_C_MAP = "rank-translation array inconsistent"
 def save_index(ix: CpmIndex, sink: BinaryIO) -> int:
     """Write the index to ``sink``; returns the number of bytes written."""
     t = ix.text
-    c_map = np.asarray(ix.c_array)[1:].astype("<u8")
-    c_map[c_map == C_UNDEFINED] = _UNDEF_ON_DISK
     sections = [
         np.asarray(values, dtype="<u8").tobytes()
         for values in (
@@ -71,7 +72,7 @@ def save_index(ix: CpmIndex, sink: BinaryIO) -> int:
             np.asarray(ix.fwd.lcp)[1:],
             np.asarray(ix.rev.sa)[1:],
             np.asarray(ix.rev.lcp)[1:],
-            c_map,
+            _c_map_section(ix.c_array),
         )
     ]
     header = [MAGIC, struct.pack("<I", VERSION), struct.pack("<QQ", t.n, t.sigma)]
@@ -86,19 +87,31 @@ def save_index(ix: CpmIndex, sink: BinaryIO) -> int:
     return total
 
 
+def _c_map_section(c_array: Sequence[int]) -> np.ndarray:
+    """The ``c_map`` section of ``c_array``: u64, undefined as 2**64 - 1."""
+    c_map = np.asarray(c_array)[1:].astype("<u8")
+    c_map[c_map == C_UNDEFINED] = _UNDEF_ON_DISK
+    return c_map
+
+
 def _read_exact(source: BinaryIO, size: int, what: str) -> bytes:
-    blob = source.read(size)
-    if len(blob) != size:
-        raise CorruptSectionError(f"truncated stream while reading {what}")
-    return blob
+    pieces = []
+    while size:
+        piece = source.read(min(size, _READ_PIECE))
+        if not piece:
+            raise CorruptSectionError(f"truncated stream while reading {what}")
+        pieces.append(piece)
+        size -= len(piece)
+    return b"".join(pieces)
 
 
 def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     """Reconstruct an index saved by :func:`save_index`.
 
-    Acceleration tables are rebuilt from the loaded arrays.  Every section
-    is range-checked; with ``verify`` (the default) every structural
-    invariant of the loaded arrays is checked too, in O(n).  Violations
+    Every load range-checks the other sections, derives ``fwd_isa`` and
+    ``c_map`` as the build does and requires the stored copies to equal
+    them, and rejects bytes past the last section.  ``verify`` (the
+    default) adds the O(n) permutation, order and LCP checks.  Violations
     raise :class:`CorruptSectionError`.
     """
     magic = _read_exact(source, 4, "magic")
@@ -125,7 +138,9 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
         np.frombuffer(_read_exact(source, size, f"section {idx}"), dtype="<u8")
         for idx, (_, size) in enumerate(table)
     ]
-    alphabet, symbols, fwd_sa, fwd_isa, fwd_lcp, rev_sa, rev_lcp, c_disk = sections
+    alphabet, symbols, fwd_sa, fwd_isa, fwd_lcp, rev_sa, rev_lcp, c_map = sections
+    if source.read(1):
+        raise CorruptSectionError("stream holds bytes after the last section")
 
     if _outside(alphabet, 1, 255) or (alphabet[1:] <= alphabet[:-1]).any():
         raise CorruptSectionError("alphabet section is not an ordered byte set")
@@ -140,34 +155,29 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
             np.bincount(sa.astype(np.intp), minlength=n + 1)[1:] != 1
         ).any():
             raise CorruptSectionError(_NOT_PERMUTATION)
-    if _outside(fwd_isa, 1, n):
-        raise CorruptSectionError(_NOT_INVERSE)
     if _outside(fwd_lcp, 0, n - 1) or _outside(rev_lcp, 0, n - 1):
         raise CorruptSectionError(_BAD_LCP)
-    if ((c_disk < 1) | ((c_disk > n) & (c_disk != _UNDEF_ON_DISK))).any():
-        raise CorruptSectionError(_BAD_C_MAP)
 
-    byte_values = alphabet.tolist()
-    text = Text(
-        symbols=symbols.tolist(),
-        n=n,
-        sigma=sigma,
-        code_for_byte={b: c for c, b in enumerate(byte_values, start=1)},
-        byte_for_code=(0, *byte_values),
-    )
+    text = make_text(symbols.tolist(), alphabet.tolist())
     # Each rank section becomes a 1-based array after a padding zero.
-    c_map = np.where(c_disk == _UNDEF_ON_DISK, C_UNDEFINED, c_disk)
-    sa, isa, lcp, sa_rev, lcp_rev, c_array = (
+    sa, lcp, sa_rev, lcp_rev = (
         pack(np.insert(values, 0, 0), n)
-        for values in (fwd_sa, fwd_isa, fwd_lcp, rev_sa, rev_lcp, c_map)
+        for values in (fwd_sa, fwd_lcp, rev_sa, rev_lcp)
     )
-    fwd = SuffixEnsemble(sa=sa, isa=isa, lcp=lcp, text=text)
+    fwd = SuffixEnsemble(sa=sa, isa=build_inverse(sa), lcp=lcp, text=text)
     rev = SuffixEnsemble(
         sa=sa_rev, isa=build_inverse(sa_rev), lcp=lcp_rev, text=reverse_text(text)
     )
+    c_array = translate_ranks(fwd, rev)
+    if not np.array_equal(fwd_isa, np.asarray(fwd.isa)[1:].astype("<u8")):
+        raise CorruptSectionError(_NOT_INVERSE)
+    if not np.array_equal(c_map, _c_map_section(c_array)):
+        raise CorruptSectionError(_BAD_C_MAP)
     ix = assemble_index(text, fwd, rev, c_array)
     if verify:
-        _verify_arrays(ix, sections)
+        codes = symbols.astype(np.uint8)
+        _check_ensemble(fwd, codes, ix.rmq_fwd)
+        _check_ensemble(rev, codes[::-1], ix.rmq_rev)
     return ix
 
 
@@ -175,29 +185,10 @@ def _outside(values: np.ndarray, lo: int, hi: int) -> bool:
     return bool(values.min() < lo or values.max() > hi)
 
 
-def _verify_arrays(ix: CpmIndex, sections: list[np.ndarray]) -> None:
-    # Runs on the on-disk arrays, after the range checks and both
-    # permutation checks; the LCP sparse tables of ``ix`` are already built.
-    _, symbols, fwd_sa, fwd_isa, _, rev_sa, _, c_disk = sections
-    n = ix.text.n
-    codes = symbols.astype(np.uint8)
-    isa = _check_ensemble(fwd_sa, codes, ix.rmq_fwd)
-    _check_ensemble(rev_sa, codes[::-1], ix.rmq_rev)
-    for lo in range(0, n, _VERIFY_BLOCK):
-        hi = min(lo + _VERIFY_BLOCK, n)
-        if (fwd_isa[lo:hi] != isa[lo + 1:hi + 1]).any():
-            raise CorruptSectionError(_NOT_INVERSE)
-        start = rev_sa[lo:hi].astype(isa.dtype)
-        expected = isa[n - start].astype(np.uint64)
-        expected[start == n] = _UNDEF_ON_DISK
-        if (c_disk[lo:hi] != expected).any():
-            raise CorruptSectionError(_BAD_C_MAP)
-
-
 def _check_ensemble(
-    sa: np.ndarray, codes: np.ndarray, rmq: RmqStructure
-) -> np.ndarray:
-    """Check that a permutation ``sa`` is sorted and ``rmq.array`` its LCP.
+    e: SuffixEnsemble, codes: np.ndarray, rmq: RmqStructure
+) -> None:
+    """Check that the permutation ``e.sa`` is sorted and ``rmq.array`` its LCP.
 
     Both checks are O(n) and need no symbol-by-symbol comparison.  Order
     (Burkhardt & Kaerkkaeinen, CPM 2003): for rank-adjacent suffixes ``a``,
@@ -207,21 +198,19 @@ def _check_ensemble(
     minimum of ``lcp`` over the ranks after ``a + 1`` up to ``b + 1``.  Once
     the order holds, the true LCP array is the only one meeting this.
     Equal first symbols are never the terminator, which occurs only at n,
-    so ``a + 1`` and ``b + 1`` are suffixes.  Returns the inverse of ``sa``
-    indexed by position, with zeros at 0 and ``n + 1``.
+    so ``a + 1`` and ``b + 1`` are suffixes, ranked by ``e.isa``.
     """
-    n = len(sa)
-    dtype = np.int32 if n + 2 < 2**31 else np.int64
-    isa = np.zeros(n + 2, dtype=dtype)
-    isa[sa.astype(dtype)] = np.arange(1, n + 1, dtype=dtype)
+    sa = np.asarray(e.sa)
+    isa = np.asarray(e.isa)
+    n = len(sa) - 1
     lcp = np.asarray(rmq.array)
     if lcp[1] != 0:
         raise CorruptSectionError(_BAD_LCP)
     # Blocks of ranks keep the temporaries small whatever n is.
     for lo in range(1, n, _VERIFY_BLOCK):
         hi = min(lo + _VERIFY_BLOCK, n)
-        a = sa[lo - 1:hi - 1].astype(dtype)
-        b = sa[lo:hi].astype(dtype)
+        a = sa[lo:hi]
+        b = sa[lo + 1:hi + 1]
         first_a = codes[a]
         first_b = codes[b]
         same = first_a == first_b
@@ -229,8 +218,7 @@ def _check_ensemble(
         next_b = isa[b[same] + 1]
         if (first_a > first_b).any() or (next_a >= next_b).any():
             raise CorruptSectionError("suffix array ranks out of order")
-        expected = np.zeros(hi - lo, dtype=dtype)
+        expected = np.zeros(hi - lo, dtype=isa.dtype)
         expected[same] = rmq.range_minima(next_a + 1, next_b) + 1
         if (lcp[lo + 1:hi + 1] != expected).any():
             raise CorruptSectionError(_BAD_LCP)
-    return isa

@@ -16,7 +16,7 @@ from cpmatch.errors import (
 from cpmatch.generate import generate_repetitive
 from cpmatch.index import MappingStrategy, build_index, query
 from cpmatch.oracle import oracle_contexts
-from cpmatch import persistence
+from cpmatch import cli, persistence
 from cpmatch.persistence import load_index, save_index
 
 import alabar_data
@@ -166,17 +166,33 @@ def test_corrupt_payload_caught_by_verify(alabar_index):
             load_index(io.BytesIO(bytes(broken)))
 
 
-def test_corrupt_c_map_slips_past_verify_false(alabar_index):
-    blob = bytearray(save_bytes(alabar_index))
-    table = struct.unpack_from("<16Q", blob, 24)
-    struct.pack_into("<Q", blob, table[14] + 8, 3)
-    ix = load_index(io.BytesIO(bytes(blob)), verify=False)
-    assert ix.c_array[1:3] != alabar_index.c_array[1:3]
-
-
 def section_extent(blob: bytes, section: int) -> tuple[int, int]:
     table = struct.unpack_from("<16Q", blob, 24)
     return table[2 * section], table[2 * section + 1] // 8
+
+
+def test_in_range_isa_and_c_map_edits_rejected_without_verify(alabar_index):
+    # Load derives fwd_isa and c_map from the suffix arrays, so a stored
+    # copy edited within its value range is rejected even without verify.
+    blob = save_bytes(alabar_index)
+    n = alabar_index.text.n
+    cases = ((3, "inverse", ()), (7, "rank-translation", (UNDEF,)))
+    for section, message, extra in cases:
+        off, count = section_extent(blob, section)
+        mutants = []
+        for slot in (1, count - 1):
+            old = struct.unpack_from("<Q", blob, off + 8 * slot)[0]
+            for value in (old % n + 1, *extra):
+                broken = bytearray(blob)
+                struct.pack_into("<Q", broken, off + 8 * slot, value)
+                mutants.append(broken)
+        swapped = bytearray(blob)
+        swap_slots(swapped, blob, off, 1, 2)
+        mutants.append(swapped)
+        for broken in mutants:
+            assert broken != blob
+            with pytest.raises(CorruptSectionError, match=message):
+                load_index(io.BytesIO(bytes(broken)), verify=False)
 
 
 def swap_slots(broken: bytearray, blob: bytes, off: int, i: int, j: int) -> None:
@@ -206,8 +222,9 @@ def swap_ranks_consistently(broken: bytearray, blob: bytes, reverse: bool,
 
 @pytest.mark.parametrize("block", [None, 7])
 def test_mutated_ranks_and_lcps_caught_by_verify(monkeypatch, block):
-    # The sa, isa and lcp sections each have exactly one valid content, so
-    # every in-range edit that changes a byte must be rejected.
+    # The sa, isa, lcp and c_map sections each have exactly one valid
+    # content, so every in-range edit that changes a byte must be rejected;
+    # an edit of the derived isa or c_map even without verify.
     if block is not None:
         monkeypatch.setattr(persistence, "_VERIFY_BLOCK", block)
     rng = random.Random(41)
@@ -216,21 +233,20 @@ def test_mutated_ranks_and_lcps_caught_by_verify(monkeypatch, block):
         blob = save_bytes(build_index(t))
         n = t.n
         for _ in range(50):
-            section = rng.choice([2, 3, 4, 5, 6])  # fwd_sa .. rev_lcp
+            section = rng.choice([2, 3, 4, 5, 6, 7])  # fwd_sa .. c_map
             off, count = section_extent(blob, section)
-            lcp = section in (4, 6)
+            lo, hi = (0, n - 1) if section in (4, 6) else (1, n)
             i, j = rng.randrange(count), rng.randrange(count)
             old = struct.unpack_from("<Q", blob, off + 8 * i)[0]
             broken = bytearray(blob)
             kind = rng.randrange(3)
             if kind == 0:
-                value = rng.randint(0, n - 1) if lcp else rng.randint(1, n)
-                struct.pack_into("<Q", broken, off + 8 * i, value)
+                struct.pack_into("<Q", broken, off + 8 * i, rng.randint(lo, hi))
             elif kind == 1:
                 swap_slots(broken, blob, off, i, j)
-            elif lcp:
+            elif section in (4, 6, 7):
                 delta = rng.choice([-1, 1])
-                if 0 <= old + delta <= n - 1:
+                if lo <= old + delta <= hi:
                     struct.pack_into("<Q", broken, off + 8 * i, old + delta)
             elif section != 3:
                 swap_ranks_consistently(broken, blob, section == 5, i, j)
@@ -238,6 +254,9 @@ def test_mutated_ranks_and_lcps_caught_by_verify(monkeypatch, block):
                 continue
             with pytest.raises(CorruptSectionError):
                 load_index(io.BytesIO(bytes(broken)))
+            if section in (3, 7):
+                with pytest.raises(CorruptSectionError):
+                    load_index(io.BytesIO(bytes(broken)), verify=False)
 
 
 @pytest.mark.parametrize("raw", [b"a" * 20_000, bytes(range(1, 256)) * 4])
@@ -267,6 +286,33 @@ def test_out_of_range_values_rejected_without_verify(alabar_index):
                 struct.pack_into("<Q", broken, off + 8 * slot, value)
                 with pytest.raises(CorruptSectionError):
                     load_index(io.BytesIO(bytes(broken)), verify=False)
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_trailing_bytes_rejected(alabar_index, verify):
+    blob = save_bytes(alabar_index)
+    for tail in (b"\x00", b"GARBAGE"):
+        with pytest.raises(CorruptSectionError, match="after the last section"):
+            load_index(io.BytesIO(blob + tail), verify=verify)
+
+
+def test_forged_huge_n_fails_cleanly(tmp_path, capsys):
+    # A consistent header claiming n = 2**40 over a 216-byte file.  A
+    # buffered file allocates a read's whole size up front, which
+    # io.BytesIO does not, so only a real file shows a huge read.
+    n, sigma = 1 << 40, 8
+    header = [b"CPMX", struct.pack("<IQQ", 1, n, sigma)]
+    offset = 24 + 16 * 8
+    for count in (sigma, n + 1, n, n, n, n, n, n):
+        header.append(struct.pack("<QQ", offset, 8 * count))
+        offset += 8 * count
+    forged = tmp_path / "huge.idx"
+    forged.write_bytes(b"".join(header) + struct.pack(f"<{sigma}Q", *b"abcdefgh"))
+    assert forged.stat().st_size == 216
+    with open(forged, "rb") as fh, pytest.raises(CorruptSectionError, match="truncated"):
+        load_index(fh)
+    assert cli.main(["query", str(forged), "--pattern", "a", "--context", "1"]) == 3
+    assert capsys.readouterr().err.startswith("error: truncated stream")
 
 
 def test_swapped_symbol_buckets_caught_by_verify():
