@@ -165,6 +165,9 @@ def cmd_query(args: argparse.Namespace) -> int:
         return 2
     with open(args.index, "rb") as fh:
         ix = load_index(fh)
+    if args.context > ix.text.n:
+        print(f"error: {_ell_too_long(args.context, ix.text.n)}", file=sys.stderr)
+        return 2
     codes = encode_pattern(ix.text, raw)
     strategy = MappingStrategy(args.strategy)
     stats = QueryStats() if args.stats else None
@@ -236,11 +239,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_pattern_file(path: str) -> list[tuple[bytes, int]]:
-    """(pattern, ell) pairs from PATTERN<TAB>ELL lines.
+def _ell_too_long(ell: int, n: int) -> str:
+    """Why ``ell`` is refused: longer than the indexed text of length n."""
+    return f"context length {ell} exceeds the text length {n}"
 
-    Blank lines and lines starting with '#' are skipped.  A malformed line
-    raises ValueError whose message starts with ``path:line:``.
+
+def _read_pattern_file(path: str, n: int) -> list[tuple[bytes, int]]:
+    """(pattern, ell) pairs from PATTERN<TAB>ELL lines, for a text of length n.
+
+    Blank lines and lines starting with '#' are skipped.  A malformed line,
+    or one whose ell exceeds n, raises ValueError whose message starts with
+    ``path:line:``.
     """
     queries = []
     with open(path, "rb") as fh:
@@ -261,6 +270,8 @@ def _read_pattern_file(path: str) -> list[tuple[bytes, int]]:
                     raise ValueError(f"context length {ell_text!r} is not an integer")
                 if ell < 0:
                     raise ValueError("context length must be >= 0")
+                if ell > n:
+                    raise ValueError(_ell_too_long(ell, n))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             queries.append((pattern, ell))
@@ -292,15 +303,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.random is not None and args.random < 0:
         print("error: --random must be >= 0", file=sys.stderr)
         return 2
+    with open(args.index, "rb") as fh:
+        ix = load_index(fh)
     patterns = None
     if args.patterns:
         try:
-            patterns = _read_pattern_file(args.patterns)
+            patterns = _read_pattern_file(args.patterns, ix.text.n)
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
-    with open(args.index, "rb") as fh:
-        ix = load_index(fh)
     strategy = MappingStrategy(args.strategy)
     r, r_rev, r_max = _run_counts(ix)
     n = ix.text.n

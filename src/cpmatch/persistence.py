@@ -108,11 +108,11 @@ def _read_exact(source: BinaryIO, size: int, what: str) -> bytes:
 def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     """Reconstruct an index saved by :func:`save_index`.
 
-    Every load range-checks the other sections, derives ``fwd_isa`` and
-    ``c_map`` as the build does and requires the stored copies to equal
-    them, and rejects bytes past the last section.  ``verify`` (the
-    default) adds the O(n) permutation, order and LCP checks.  Violations
-    raise :class:`CorruptSectionError`.
+    Every load range-checks the other sections, requires both suffix
+    arrays to be permutations, derives ``fwd_isa`` and ``c_map`` as the
+    build does and requires the stored copies to equal them, and rejects
+    bytes past the last section.  ``verify`` (the default) adds the O(n)
+    order and LCP checks.  Violations raise :class:`CorruptSectionError`.
     """
     magic = _read_exact(source, 4, "magic")
     if magic != MAGIC:
@@ -148,10 +148,11 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
         raise CorruptSectionError("text does not start and end with the terminator")
     if _outside(symbols[1:n], 1, sigma):
         raise CorruptSectionError("text symbol out of alphabet range")
-    # Range checks run even without verify: ranks index the other arrays,
-    # and every value must fit the tables built below.
+    # These checks run even without verify: ranks index the other arrays,
+    # every value must fit the tables built below, and only a permutation
+    # has the inverse that load derives.
     for sa in (fwd_sa, rev_sa):
-        if _outside(sa, 1, n) or verify and (
+        if _outside(sa, 1, n) or (
             np.bincount(sa.astype(np.intp), minlength=n + 1)[1:] != 1
         ).any():
             raise CorruptSectionError(_NOT_PERMUTATION)

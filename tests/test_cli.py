@@ -218,6 +218,24 @@ def test_query_usage_errors(alabar_files, capsys):
     capsys.readouterr()
 
 
+def test_context_longer_than_text_is_usage_error(alabar_files, capsys):
+    # The README reserves exit 1 for a verification mismatch; a huge ell
+    # must not end in an OverflowError traceback or build huge contexts.
+    _, idx = alabar_files
+    base = ["query", str(idx), "--pattern", "a", "--context"]
+    for ell in ("18", "99999999999999999999"):
+        capsys.readouterr()
+        assert cli.main(base + [ell]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: context length {ell} exceeds the text length 17\n"
+        )
+        assert captured.out == ""
+    assert cli.main(base + ["17"]) == 0
+    # At ell = n every occurrence of "a" has a context of its own.
+    assert len(capsys.readouterr().out.splitlines()) == 8
+
+
 def test_query_io_errors(tmp_path, capsys):
     bogus = tmp_path / "bogus.idx"
     bogus.write_bytes(b"not an index at all")
@@ -326,6 +344,8 @@ def test_bench_pattern_file(alabar_files, tmp_path, capsys):
         "ala\ttwo",  # ell not an integer
         "ala 2",  # no tab
         "\t2",  # empty pattern
+        "ala\t18",  # ell longer than the text
+        "ala\t99999999999999999999",
     ],
 )
 def test_bench_pattern_file_errors(alabar_files, tmp_path, capsys, bad_line):

@@ -69,7 +69,9 @@ def test_index_memory_is_packed():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    tables = 3 * 4 * n.bit_length() * n  # a 4-byte position per entry and level
+    # Seven 1-byte window offsets per entry, and a 4-byte position per
+    # 256-wide block and level of the block table.
+    tables = 3 * (7 * n + 4 * (n >> 8) * n.bit_length())
     base = 7 * 4 * n  # sa, isa and lcp of both ensembles, and c_array
     reversed_text = 8 * n  # one list slot per symbol
     assert retained <= tables + base + reversed_text

@@ -14,10 +14,11 @@ from cpmatch.errors import (
     UnsupportedVersionError,
 )
 from cpmatch.generate import generate_repetitive
-from cpmatch.index import MappingStrategy, build_index, query
+from cpmatch.index import MappingStrategy, build_index, query, translate_ranks
 from cpmatch.oracle import oracle_contexts
 from cpmatch import cli, persistence
 from cpmatch.persistence import load_index, save_index
+from cpmatch.suffixes import SuffixEnsemble, build_inverse
 
 import alabar_data
 import naive
@@ -193,6 +194,25 @@ def test_in_range_isa_and_c_map_edits_rejected_without_verify(alabar_index):
             assert broken != blob
             with pytest.raises(CorruptSectionError, match=message):
                 load_index(io.BytesIO(bytes(broken)), verify=False)
+
+
+def test_non_permutation_rejected_without_verify(alabar_index):
+    # Rank 5 repeats rank 6's suffix, and fwd_isa and c_map hold what load
+    # derives from that suffix array, so only the permutation test can
+    # tell.  Its derived inverse would hold rank 0 at the missing suffix.
+    blob = save_bytes(alabar_index)
+    sa = array("i", alabar_index.fwd.sa)
+    sa[5] = sa[6]
+    fwd = SuffixEnsemble(sa=sa, isa=build_inverse(sa), lcp=alabar_index.fwd.lcp,
+                         text=alabar_index.text)
+    c_map = persistence._c_map_section(translate_ranks(fwd, alabar_index.rev))
+    broken = bytearray(blob)
+    for section, values in ((2, sa[1:]), (3, fwd.isa[1:]), (7, c_map.tolist())):
+        off, count = section_extent(blob, section)
+        struct.pack_into(f"<{count}Q", broken, off, *values)
+    for verify in (False, True):
+        with pytest.raises(CorruptSectionError, match="not a permutation"):
+            load_index(io.BytesIO(bytes(broken)), verify=verify)
 
 
 def swap_slots(broken: bytearray, blob: bytes, off: int, i: int, j: int) -> None:

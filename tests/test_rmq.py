@@ -129,8 +129,9 @@ def test_tie_heavy_arrays_match_scans():
 
 
 def test_table_memory_is_packed_positions():
-    # Bounds retained memory only: one 4-byte position per element and
-    # level fits, a boxed Python int per entry does not.
+    # Bounds retained memory only: seven 1-byte window offsets per element
+    # plus a block table of 4-byte positions fit; a 4-byte position per
+    # element and level (about 68 bytes here) does not.
     n = 1 << 16
     rng = random.Random(10)
     array = [0] + [rng.randint(0, 1 << 20) for _ in range(n)]
@@ -141,9 +142,57 @@ def test_table_memory_is_packed_positions():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    levels = n.bit_length()  # floor(log2 n) + 1
-    assert retained <= 6 * levels * n
+    assert retained <= 10 * n
     assert s.rmq(1, n) == naive.scan_rmq(array, 1, n)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 511, 513, 769, 5000])
+def test_multi_block_arrays_match_scans(n):
+    # Ranges that cross no, one and many 256-wide block edges, and
+    # thresholds whose nearest smaller value lies blocks away or nowhere.
+    # The two-valued, all-equal and sparse arrays tie almost everywhere, so
+    # any answer that is not the leftmost shows.  The sparse array's only
+    # small values end one block and start another, where only the right
+    # piece of a range, or only its whole blocks, can reach them.
+    rng = random.Random(n)
+    sparse = [0] + [5] * n
+    for q in (256, 513):
+        if q <= n:
+            sparse[q] = 2
+    arrays = [
+        [0] + [rng.randint(0, 50) for _ in range(n)],
+        [0] + [rng.choice((2, 5)) for _ in range(n)],
+        [0] + [3] * n,
+        sparse,
+    ]
+    edges = {e + step for e in range(0, n + 1, 256) for step in (-1, 0, 1, 2)}
+    ends = {q for q in edges | set(rng.sample(range(1, n + 1), 8)) if 1 <= q <= n}
+    for array in arrays:
+        s = RmqStructure(array)
+        pairs = []
+        for i in sorted(ends):
+            best = i
+            for j in range(i, n + 1):
+                if array[j] < array[best]:
+                    best = j
+                if n < 1000 or j in ends or j - i < 3:
+                    assert s.rmq(i, j) == best, (array[:3], i, j)
+                    pairs.append((i, j))
+        low, high = min(array[1:]), max(array[1:])
+        for d in (low, low + 1, high + 1):
+            below = 0
+            for p in range(1, n + 2):
+                assert s.psv(p, d) == below, (array[:3], p, d)
+                if p <= n and array[p] < d:
+                    below = p
+            below = n + 1
+            for p in range(n, -1, -1):
+                assert s.nsv(p, d) == below, (array[:3], p, d)
+                if p >= 1 and array[p] < d:
+                    below = p
+        lo, hi = np.array(pairs, np.int32).T
+        expected = [min(array[i:j + 1]) for i, j in zip(lo, hi)]
+        assert s.range_minima(lo, hi).tolist() == expected
 
 
 def test_pack_widens_only_past_four_bytes():
