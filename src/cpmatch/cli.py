@@ -211,6 +211,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("error: --queries and --max-ell must be >= 0", file=sys.stderr)
         return 2
     t = _load_text_file(args.text)
+    if args.max_ell > t.n:
+        print(f"error: {_ell_too_long(args.max_ell, t.n)}", file=sys.stderr)
+        return 2
     ix = build_index(t)
     rng = random.Random(args.seed)
     for _ in range(args.queries):

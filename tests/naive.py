@@ -5,11 +5,12 @@ with the structures under test.  ``doubling_suffix_array`` and
 ``kasai_lcp`` are the library's earlier builders, kept as independent
 references that are fast enough for texts of 10^4 symbols;
 ``loop_pattern_range`` is its earlier pattern-range search, kept to pin
-the number of suffix-array reads; ``sorted_partition_reference`` is its
-earlier sort-based interval partition, kept to pin the parts, their order
-and the number of rmq calls; it is the one reference that calls a
-structure under test, ``RmqStructure.rmq``, so that the calls can be
-counted alike.
+the number of suffix-array reads; ``where_doubling_reference`` is its
+earlier level step of the range-minimum tables, kept to pin every stored
+row byte for byte; ``sorted_partition_reference`` is its earlier
+sort-based interval partition, kept to pin the parts, their order and the
+number of rmq calls; it is the one reference that calls a structure under
+test, ``RmqStructure.rmq``, so that the calls can be counted alike.
 """
 
 import random
@@ -103,6 +104,26 @@ def scan_nsv(array: list[int], n: int, p: int, d: int) -> int:
         if array[q] < d:
             return q
     return n + 1
+
+
+def where_doubling_reference(
+    row: np.ndarray, minima: np.ndarray, levels: int, relative: bool
+):
+    """Rows 1..``levels`` of a leftmost-minimum sparse table, by ``np.where``.
+
+    One compare and two selects per level; a ``relative`` row holds each
+    answer as its distance from the window's start.
+    """
+    for k in range(1, levels + 1):
+        half = 1 << (k - 1)
+        span = len(minima) - half
+        left = minima[:span]
+        right = minima[half:]
+        take_right = right < left
+        shifted = row[half:] + half if relative else row[half:]
+        row = np.where(take_right, shifted, row[:span])
+        minima = np.where(take_right, right, left)
+        yield row
 
 
 def sorted_partition_reference(

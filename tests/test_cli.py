@@ -253,13 +253,28 @@ def test_verify_ok(alabar_files, capsys):
 
 
 def test_verify_huge_ell(alabar_files, capsys):
+    # ell = n = 17, the largest accepted, runs contexts past both text ends.
     text, _ = alabar_files
     args = [
         "verify", str(text), "--queries", "40", "--seed", "7",
-        "--max-ell", "60",
+        "--max-ell", "17",
     ]
     assert cli.main(args) == 0
     capsys.readouterr()
+
+
+def test_verify_max_ell_longer_than_text_is_usage_error(alabar_files, capsys):
+    # A huge --max-ell would sample contexts of 2 * ell symbols and never
+    # end; it is refused before the index is built.
+    text, _ = alabar_files
+    base = ["verify", str(text), "--queries", "20", "--max-ell"]
+    for ell in ("18", "99999999999999999999"):
+        assert cli.main(base + [ell]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: context length {ell} exceeds the text length 17\n"
+        )
+        assert "verified" not in captured.out
 
 
 def test_verify_catches_broken_oracle(alabar_files, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array as packed_array
 
 import numpy as np
 import pytest
@@ -193,6 +194,45 @@ def test_multi_block_arrays_match_scans(n):
         lo, hi = np.array(pairs, np.int32).T
         expected = [min(array[i:j + 1]) for i, j in zip(lo, hi)]
         assert s.range_minima(lo, hi).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 255, 256, 257, 5000, 70000])
+def test_table_rows_match_where_reference(n):
+    # Every stored row equals the np.where build's, byte for byte.  The
+    # decreasing array puts each window offset at its largest, 2**k - 1;
+    # the all-equal and two-valued ones make ties that must go left.
+    rng = random.Random(n)
+    shapes = {
+        "decreasing": list(range(n, 0, -1)),
+        "increasing": list(range(1, n + 1)),
+        "all-equal": [7] * n,
+        "two-valued": [rng.choice((2, 5)) for _ in range(n)],
+        "random": [rng.randint(0, 2**31 - 1) for _ in range(n)],
+    }
+    for shape, body in shapes.items():
+        for typecode in (None, "i", "q"):
+            array = [0, *body]
+            if typecode:
+                array = packed_array(typecode, array)
+            s = RmqStructure(array)
+            values = np.asarray(array)
+            levels = min(7, n.bit_length() - 1)
+            rows = naive.where_doubling_reference(
+                np.zeros(n + 1, np.uint8), values, levels, relative=True
+            )
+            want = [row.tobytes() for row in rows]
+            assert [row.tobytes() for row in s._rows[1:]] == want, shape
+            assert all(row.typecode == "B" for row in s._rows[1:])
+            heads = np.array(
+                [b + np.argmin(values[b:b + 256]) for b in range(1, n + 1, 256)]
+            )
+            levels = len(heads).bit_length() - 1
+            rows = naive.where_doubling_reference(
+                heads, values[heads], levels, relative=False
+            )
+            want = [row.astype(np.int32).tobytes() for row in [heads, *rows]]
+            assert [row.tobytes() for row in s._blocks] == want, shape
+            assert all(row.typecode == "i" for row in s._blocks)
 
 
 def test_pack_widens_only_past_four_bytes():
