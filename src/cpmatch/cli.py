@@ -191,7 +191,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sample_pattern(rng: random.Random, t: Text) -> list[int]:
+def _sample_pattern(rng: random.Random, t: Text) -> bytes | list[int]:
     """Mostly substrings of the text, sometimes arbitrary code strings."""
     if rng.random() < 0.7:
         start = rng.randint(1, t.n - 1)

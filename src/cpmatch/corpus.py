@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import EmptyInputError, SentinelByteError
@@ -18,15 +18,15 @@ SENTINEL_BYTE = 0x00
 class Text:
     """A remapped string with a terminator at both ends.
 
-    ``symbols`` holds ``n + 1`` integer codes.  Positions 0 and ``n`` carry
-    the terminator code 0 and every position in ``1..n-1`` carries a code in
-    ``1..sigma``.  Codes are assigned to the distinct input bytes in
+    ``symbols`` holds ``n + 1`` codes, one byte each.  Positions 0 and ``n``
+    carry the terminator code 0 and every position in ``1..n-1`` carries a
+    code in ``1..sigma``.  Codes are assigned to the distinct input bytes in
     increasing byte order, so comparing remapped strings is the same as
     comparing the original byte strings.  Instances are never mutated after
     construction.
     """
 
-    symbols: list[int]
+    symbols: bytes
     n: int
     sigma: int
     code_for_byte: dict[int, int]
@@ -47,13 +47,10 @@ def load_text(raw: bytes) -> Text:
         )
     distinct = sorted(set(raw))
     table = bytes.maketrans(bytes(distinct), bytes(range(1, len(distinct) + 1)))
-    symbols = [SENTINEL]
-    symbols.extend(raw.translate(table))
-    symbols.append(SENTINEL)
-    return make_text(symbols, distinct)
+    return make_text(b"\0" + raw.translate(table) + b"\0", distinct)
 
 
-def make_text(symbols: list[int], alphabet: Sequence[int]) -> Text:
+def make_text(symbols: bytes, alphabet: Sequence[int]) -> Text:
     """Text of terminated ``symbols``; code ``c`` is the byte ``alphabet[c - 1]``."""
     return Text(
         symbols=symbols,
@@ -66,13 +63,7 @@ def make_text(symbols: list[int], alphabet: Sequence[int]) -> Text:
 
 def reverse_text(t: Text) -> Text:
     """The same alphabet read back to front; terminators stay in place."""
-    return Text(
-        symbols=t.symbols[::-1],
-        n=t.n,
-        sigma=t.sigma,
-        code_for_byte=t.code_for_byte,
-        byte_for_code=t.byte_for_code,
-    )
+    return replace(t, symbols=t.symbols[::-1])
 
 
 def padded_symbol(t: Text, i: int) -> int:

@@ -25,16 +25,18 @@ steps 2 and 3.
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .corpus import SENTINEL, Text, reverse_text
 from .errors import BoundaryPartError, NonSingletonBoundaryError
 from .rmq import QueryStats, RmqStructure, pack, partition_interval
-from .suffixes import SuffixEnsemble, build_ensemble, find_pattern_range
+from .suffixes import SuffixEnsemble, build_ensemble, build_inverse, find_pattern_range
 
 #: In-memory marker for the one undefined rank-translation entry.
 C_UNDEFINED = 0
@@ -51,17 +53,19 @@ class MappingStrategy(Enum):
 class CpmIndex:
     """Queryable artifact: both suffix ensembles plus acceleration tables.
 
+    ``isa`` inverts the forward suffix array: ``isa[fwd.sa[i]] = i``.
     ``c_array[i]`` is the forward rank of the suffix starting where the
-    reverse suffix of rank ``i`` ends, ``fwd.isa[n - rev.sa[i]]``; the single
+    reverse suffix of rank ``i`` ends, ``isa[n - rev.sa[i]]``; the single
     entry with ``rev.sa[i] = n`` is undefined and stored as ``C_UNDEFINED``.
-    Like the suffix, inverse and LCP arrays of both ensembles, it is a
-    packed 1-based array (see :func:`~cpmatch.rmq.pack`).  Immutable after
+    Like the suffix and LCP arrays of both ensembles, both are packed
+    1-based arrays (see :func:`~cpmatch.rmq.pack`).  Immutable after
     construction; queries never mutate it.
     """
 
     text: Text
     fwd: SuffixEnsemble
     rev: SuffixEnsemble
+    isa: array
     c_array: array
     rmq_fwd: RmqStructure
     rmq_rev: RmqStructure
@@ -124,20 +128,21 @@ class QueryTrace:
 
 
 def build_index(t: Text) -> CpmIndex:
-    """Build both ensembles, the rank-translation array, and rmq tables."""
+    """Build both ensembles, the inverse, the rank translation, rmq tables."""
     fwd = build_ensemble(t)
     rev = build_ensemble(reverse_text(t))
-    return assemble_index(t, fwd, rev, translate_ranks(fwd, rev))
+    isa = build_inverse(fwd.sa)
+    return assemble_index(t, fwd, rev, translate_ranks(isa, rev.sa), isa)
 
 
-def translate_ranks(fwd: SuffixEnsemble, rev: SuffixEnsemble) -> array:
-    """The rank-translation array, ``fwd.isa[n - rev.sa[i]]`` at rank ``i``.
+def translate_ranks(isa: array, rev_sa: array) -> array:
+    """The rank-translation array, ``isa[n - rev_sa[i]]`` at rank ``i``.
 
-    The entry with ``rev.sa[i] = n`` reads the padding ``fwd.isa[0]``,
+    The entry with ``rev_sa[i] = n`` reads the padding ``isa[0]``,
     C_UNDEFINED.
     """
-    n = fwd.text.n
-    c_array = np.asarray(fwd.isa)[n - np.asarray(rev.sa)]
+    n = len(isa) - 1
+    c_array = np.asarray(isa)[n - np.asarray(rev_sa)]
     c_array[0] = C_UNDEFINED
     return pack(c_array, n)
 
@@ -147,12 +152,14 @@ def assemble_index(
     fwd: SuffixEnsemble,
     rev: SuffixEnsemble,
     c_array: array,
+    isa: array,
 ) -> CpmIndex:
     """Attach fresh acceleration tables to already-built base arrays."""
     return CpmIndex(
         text=t,
         fwd=fwd,
         rev=rev,
+        isa=isa,
         c_array=c_array,
         rmq_fwd=RmqStructure(fwd.lcp),
         rmq_rev=RmqStructure(rev.lcp),
@@ -192,7 +199,7 @@ def map_via_psv_nsv(
         raise BoundaryPartError("run crosses the left text end")
     if stats is not None:
         stats.sa_accesses += 1
-    p = ix.fwd.isa[j]
+    p = ix.isa[j]
     lcp = ix.fwd.lcp
     ds = p if lcp[p] < t else ix.rmq_fwd.psv(p, t, stats)
     if p == ix.text.n or lcp[p + 1] < t:
@@ -221,7 +228,7 @@ def map_via_cmin(
     if stats is not None:
         stats.sa_accesses += 2
     j = ix.text.n - ix.rev.sa[i_min] - (m + ell - 1)
-    ds = ix.fwd.isa[j]
+    ds = ix.isa[j]
     return ds, ds + (part[1] - part[0])
 
 
@@ -244,7 +251,7 @@ def emit_boundary_context(
     if stats is not None:
         stats.sa_accesses += 2
     pos = ix.text.n - ix.rev.sa[part[0]] - m + 1
-    rank = ix.fwd.isa[pos]
+    rank = ix.isa[pos]
     return _match(extract_context(ix, pos, m, ell), rank, rank, 1, pos, 0)
 
 
@@ -308,17 +315,24 @@ def enumerate_occurrences(ix: CpmIndex, match: ContextMatch) -> list[int]:
     return [ix.fwd.sa[r] + match.p_offset for r in range(match.ds, match.de + 1)]
 
 
+@lru_cache(maxsize=256)
+def _unpacker(width: int):
+    """``unpack_from`` of ``width`` bytes as ints, compiled once per width."""
+    return struct.Struct(f"{width}B").unpack_from
+
+
 def extract_context(ix: CpmIndex, pos: int, m: int, ell: int) -> tuple[int, ...]:
     """The ``m + 2*ell`` padded symbols around an occurrence at ``pos``.
 
-    One slice of the text; positions outside ``0..n`` read as the
-    terminator, as :func:`~cpmatch.corpus.padded_symbol` reads them.
+    One unpack of the text's bytes by a ``Struct`` kept per width (a format
+    built per call cost a third more than a list slice); positions outside
+    ``0..n`` read as the terminator, as :func:`~cpmatch.corpus.padded_symbol` does.
     """
     symbols = ix.text.symbols
     lo, hi = pos - ell, pos + m + ell
     size = len(symbols)
     if lo >= 0 and hi <= size:
-        return tuple(symbols[lo:hi])
+        return _unpacker(hi - lo)(symbols, lo)
     before = max(0, min(hi, 0) - lo)
     after = max(0, hi - max(lo, size))
     inner = symbols[max(lo, 0):min(hi, size)] if hi > 0 and lo < size else ()

@@ -19,9 +19,12 @@ def oracle_contexts(
 
     Scans every text position for an occurrence of ``p`` by direct
     comparison and groups occurrences by their ``m + 2*ell`` surrounding
-    symbols.
+    symbols.  A code that no byte holds occurs nowhere.
     """
-    pattern = list(p)
+    try:
+        pattern = bytes(p)
+    except ValueError:
+        return {}
     m = len(pattern)
     out: dict[tuple[int, ...], list[int]] = {}
     for i in range(1, t.n):

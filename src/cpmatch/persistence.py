@@ -66,9 +66,9 @@ def save_index(ix: CpmIndex, sink: BinaryIO) -> int:
         np.asarray(values, dtype="<u8").tobytes()
         for values in (
             t.byte_for_code[1:],
-            t.symbols,
+            np.frombuffer(t.symbols, dtype=np.uint8),
             np.asarray(ix.fwd.sa)[1:],
-            np.asarray(ix.fwd.isa)[1:],
+            np.asarray(ix.isa)[1:],
             np.asarray(ix.fwd.lcp)[1:],
             np.asarray(ix.rev.sa)[1:],
             np.asarray(ix.rev.lcp)[1:],
@@ -159,26 +159,25 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     if _outside(fwd_lcp, 0, n - 1) or _outside(rev_lcp, 0, n - 1):
         raise CorruptSectionError(_BAD_LCP)
 
-    text = make_text(symbols.tolist(), alphabet.tolist())
+    text = make_text(symbols.astype(np.uint8).tobytes(), alphabet.tolist())
     # Each rank section becomes a 1-based array after a padding zero.
     sa, lcp, sa_rev, lcp_rev = (
         pack(np.insert(values, 0, 0), n)
         for values in (fwd_sa, fwd_lcp, rev_sa, rev_lcp)
     )
-    fwd = SuffixEnsemble(sa=sa, isa=build_inverse(sa), lcp=lcp, text=text)
-    rev = SuffixEnsemble(
-        sa=sa_rev, isa=build_inverse(sa_rev), lcp=lcp_rev, text=reverse_text(text)
-    )
-    c_array = translate_ranks(fwd, rev)
-    if not np.array_equal(fwd_isa, np.asarray(fwd.isa)[1:].astype("<u8")):
+    fwd = SuffixEnsemble(sa=sa, lcp=lcp, text=text)
+    rev = SuffixEnsemble(sa=sa_rev, lcp=lcp_rev, text=reverse_text(text))
+    isa = build_inverse(sa)
+    c_array = translate_ranks(isa, sa_rev)
+    if not np.array_equal(fwd_isa, np.asarray(isa)[1:].astype("<u8")):
         raise CorruptSectionError(_NOT_INVERSE)
     if not np.array_equal(c_map, _c_map_section(c_array)):
         raise CorruptSectionError(_BAD_C_MAP)
-    ix = assemble_index(text, fwd, rev, c_array)
+    ix = assemble_index(text, fwd, rev, c_array, isa)
     if verify:
-        codes = symbols.astype(np.uint8)
-        _check_ensemble(fwd, codes, ix.rmq_fwd)
-        _check_ensemble(rev, codes[::-1], ix.rmq_rev)
+        codes = np.frombuffer(text.symbols, dtype=np.uint8)
+        _check_ensemble(fwd, isa, codes, ix.rmq_fwd)
+        _check_ensemble(rev, build_inverse(sa_rev), codes[::-1], ix.rmq_rev)
     return ix
 
 
@@ -187,7 +186,7 @@ def _outside(values: np.ndarray, lo: int, hi: int) -> bool:
 
 
 def _check_ensemble(
-    e: SuffixEnsemble, codes: np.ndarray, rmq: RmqStructure
+    e: SuffixEnsemble, isa: Sequence[int], codes: np.ndarray, rmq: RmqStructure
 ) -> None:
     """Check that the permutation ``e.sa`` is sorted and ``rmq.array`` its LCP.
 
@@ -199,10 +198,10 @@ def _check_ensemble(
     minimum of ``lcp`` over the ranks after ``a + 1`` up to ``b + 1``.  Once
     the order holds, the true LCP array is the only one meeting this.
     Equal first symbols are never the terminator, which occurs only at n,
-    so ``a + 1`` and ``b + 1`` are suffixes, ranked by ``e.isa``.
+    so ``a + 1`` and ``b + 1`` are suffixes, ranked by the inverse ``isa``.
     """
     sa = np.asarray(e.sa)
-    isa = np.asarray(e.isa)
+    isa = np.asarray(isa)
     n = len(sa) - 1
     lcp = np.asarray(rmq.array)
     if lcp[1] != 0:

@@ -65,17 +65,6 @@ class QueryStats:
     nsv_calls: int = 0
     sa_accesses: int = 0
 
-    def reset(self) -> None:
-        self.rmq_calls = 0
-        self.psv_calls = 0
-        self.nsv_calls = 0
-        self.sa_accesses = 0
-
-    @property
-    def structure_calls(self) -> int:
-        """Total counted calls into the range structures."""
-        return self.rmq_calls + self.psv_calls + self.nsv_calls
-
 
 #: Width of a block, and the widest window a 1-byte offset can address.
 #: The structure's arithmetic spells it as ``>> 8`` and ``& 255``.

@@ -28,20 +28,19 @@ from .rmq import QueryStats, pack
 
 @dataclass(frozen=True)
 class SuffixEnsemble:
-    """Suffix array, its inverse, and the LCP array for one text.
+    """Suffix array and LCP array for one text.
 
-    Each is a packed 1-based array (see :func:`~cpmatch.rmq.pack`).
+    Both are packed 1-based arrays (see :func:`~cpmatch.rmq.pack`).
     """
 
     sa: array
-    isa: array
     lcp: array
     text: Text
 
 
 def _codes(t: Text) -> np.ndarray:
-    """The text's symbol codes, terminators included, as a uint8 array."""
-    return np.frombuffer(bytes(t.symbols), dtype=np.uint8)
+    """The text's symbol codes, terminators included: a uint8 view, no copy."""
+    return np.frombuffer(t.symbols, dtype=np.uint8)
 
 
 def build_suffix_array(t: Text) -> array:
@@ -163,9 +162,7 @@ def build_lcp(t: Text, sa: Sequence[int]) -> array:
 
 def build_ensemble(t: Text) -> SuffixEnsemble:
     sa = build_suffix_array(t)
-    return SuffixEnsemble(
-        sa=sa, isa=build_inverse(sa), lcp=build_lcp(t, sa), text=t
-    )
+    return SuffixEnsemble(sa=sa, lcp=build_lcp(t, sa), text=t)
 
 
 def find_pattern_range(
@@ -178,19 +175,24 @@ def find_pattern_range(
     Two :mod:`bisect` searches over the suffix array, keyed by each
     suffix's first ``m`` symbols: O(m log n) symbol comparisons.  A window
     cut short by the text end holds the terminator at ``n``, and the
-    pattern has none, so the two differ before the window ends.
+    pattern has none, so the two differ before the window ends.  A code
+    that no byte holds occurs nowhere: None.
     """
-    pattern = list(q)
-    if not pattern:
+    codes = list(q)
+    if not codes:
         raise EmptyPatternError("pattern must be nonempty")
-    if SENTINEL in pattern:
+    if SENTINEL in codes:
         raise SentinelInPatternError("pattern contains the terminator symbol")
+    try:
+        pattern = bytes(codes)
+    except ValueError:
+        return None
     n = e.text.n
     m = len(pattern)
     symbols = e.text.symbols
     sa = e.sa
 
-    def window(pos: int) -> list[int]:
+    def window(pos: int) -> bytes:
         if stats is not None:
             stats.sa_accesses += 1
         return symbols[pos:pos + m]

@@ -11,6 +11,8 @@ row byte for byte; ``sorted_partition_reference`` is its earlier
 sort-based interval partition, kept to pin the parts, their order and the
 number of rmq calls; it is the one reference that calls a structure under
 test, ``RmqStructure.rmq``, so that the calls can be counted alike.
+``counted_partition_reference`` gives the same parts and count with no
+range minimum at all, fast enough for every range of a 300-entry array.
 """
 
 import random
@@ -43,7 +45,7 @@ def naive_lcp(t: Text, sa: list[int]) -> list[int]:
 def doubling_suffix_array(t: Text) -> list[int]:
     """Prefix doubling that re-sorts every suffix in every round."""
     n = t.n
-    rank = np.asarray(t.symbols[1:], dtype=np.int64)
+    rank = np.frombuffer(t.symbols[1:], dtype=np.uint8).astype(np.int64)
     k = 1
     while True:
         # One key per suffix orders it by (rank, rank k further on), with
@@ -154,6 +156,21 @@ def sorted_partition_reference(
     return parts
 
 
+def counted_partition_reference(
+    array: list[int], lo: int, hi: int, threshold: int
+) -> tuple[list[tuple[int, int]], int]:
+    """Parts of ``lo..hi`` and the rmq calls a splitting search pays for them.
+
+    A part starts at ``lo`` and at every later position holding a value
+    below ``threshold``.  The search finds each such split with one call,
+    and spends one more on each nonempty stretch between splits that holds
+    none: the rest of every part longer than one position.
+    """
+    starts = [lo, *(p for p in range(lo + 1, hi + 1) if array[p] < threshold)]
+    parts = list(zip(starts, [s - 1 for s in starts[1:]] + [hi]))
+    return parts, len(starts) - 1 + sum(1 for s, e in parts if e > s)
+
+
 def naive_bwt_runs(t: Text, sa: list[int]) -> int:
     bwt = [t.symbols[sa[i] - 1] for i in range(1, t.n + 1)]
     return 1 + sum(1 for i in range(1, len(bwt)) if bwt[i] != bwt[i - 1])
@@ -163,7 +180,8 @@ def naive_pattern_range(
     t: Text, sa: list[int], q: list[int]
 ) -> tuple[int, int] | None:
     ranks = [
-        i for i in range(1, t.n + 1) if t.symbols[sa[i]: sa[i] + len(q)] == q
+        i for i in range(1, t.n + 1)
+        if t.symbols[sa[i]: sa[i] + len(q)] == bytes(q)
     ]
     if not ranks:
         return None
@@ -178,6 +196,7 @@ def loop_pattern_range(
     m = len(pattern)
     symbols = e.text.symbols
     sa = e.sa
+    pattern = bytes(pattern)
 
     def compare(rank: int) -> int:
         # -1: suffix < q, 0: q is a prefix of the suffix, 1: suffix > q.
@@ -218,7 +237,7 @@ def answered_contexts(ix, p: list[int], ell: int, strategy) -> dict:
 
 
 def naive_occurrence_count(t: Text, q: list[int]) -> int:
-    return sum(1 for i in range(1, t.n) if t.symbols[i: i + len(q)] == q)
+    return sum(1 for i in range(1, t.n) if t.symbols[i: i + len(q)] == bytes(q))
 
 
 ALPHABETS = {

@@ -26,14 +26,14 @@ def test_load_alabar_shape(alabar_text):
 def test_load_single_byte():
     t = load_text(b"a")
     assert t.n == 2
-    assert t.symbols == [0, 1, 0]
+    assert t.symbols == bytes([0, 1, 0])
 
 
 def test_codes_preserve_byte_order():
     t = load_text(b"ba")
     assert t.sigma == 2
     assert t.code_for_byte == {ord("a"): 1, ord("b"): 2}
-    assert t.symbols == [0, 2, 1, 0]
+    assert t.symbols == bytes([0, 2, 1, 0])
 
 
 def test_load_empty_rejected():

@@ -26,6 +26,7 @@ from cpmatch.index import (
 )
 from cpmatch.oracle import oracle_contexts
 from cpmatch.rmq import QueryStats
+from cpmatch.suffixes import find_pattern_range
 
 import alabar_data
 import naive
@@ -53,7 +54,7 @@ def test_c_array_matches_definition_on_random_texts():
             if ix.rev.sa[i] == t.n:
                 assert ix.c_array[i] == C_UNDEFINED
             else:
-                assert ix.c_array[i] == ix.fwd.isa[t.n - ix.rev.sa[i]]
+                assert ix.c_array[i] == ix.isa[t.n - ix.rev.sa[i]]
 
 
 def test_index_memory_is_packed():
@@ -268,19 +269,26 @@ def test_huge_ell_pads_every_context(alabar_index):
 def test_extreme_texts_match_oracle(raw):
     # On a one-symbol text the LCP array climbs by one per rank, so the
     # threshold scans walk across every level; on all 255 byte values
-    # nearly every context is a singleton.
+    # nearly every context is a singleton.  Codes 256 and -1 fit no byte:
+    # no index or oracle path may raise on them, and none finds them.
     t = load_text(raw)
     ix = build_index(t)
     rng = random.Random(len(raw))
     ells = [0, 1, 2, rng.randint(3, 9)]
     if t.n <= 800:
         ells += [t.n - 1, t.n, t.n + 10]
-    for _ in range(5):
-        p = naive.sample_codes(rng, t, max_len=12)
+    unheld = [[256], [-1]]
+    sampled = [naive.sample_codes(rng, t, max_len=12) for _ in range(5)]
+    for p in sampled + unheld:
         for ell in ells:
             expected = oracle_contexts(t, p, ell)
             for strategy in MappingStrategy:
                 assert naive.answered_contexts(ix, p, ell, strategy) == expected
+    for p in unheld:
+        assert find_pattern_range(ix.fwd, p) is None
+        assert find_pattern_range(ix.rev, p) is None
+        assert oracle_contexts(t, p, 1) == {}
+        assert query(ix, p, 1) == []
     lcp = ix.fwd.lcp
     for _ in range(20):
         p, d = rng.randint(1, t.n), rng.randint(0, t.n)

@@ -18,7 +18,7 @@ from cpmatch.index import MappingStrategy, build_index, query, translate_ranks
 from cpmatch.oracle import oracle_contexts
 from cpmatch import cli, persistence
 from cpmatch.persistence import load_index, save_index
-from cpmatch.suffixes import SuffixEnsemble, build_inverse
+from cpmatch.suffixes import build_inverse
 
 import alabar_data
 import naive
@@ -73,8 +73,8 @@ def test_format_bytes_are_pinned(raw, digest):
 def test_base_arrays_are_packed(alabar_index):
     loaded = load_index(io.BytesIO(save_bytes(alabar_index)))
     for ix in (alabar_index, loaded):
-        for values in (ix.fwd.sa, ix.fwd.isa, ix.fwd.lcp,
-                       ix.rev.sa, ix.rev.isa, ix.rev.lcp, ix.c_array):
+        for values in (ix.fwd.sa, ix.isa, ix.fwd.lcp,
+                       ix.rev.sa, ix.rev.lcp, ix.c_array):
             assert isinstance(values, array) and values.itemsize == 4
 
 
@@ -83,10 +83,10 @@ def test_round_trip_arrays_and_queries(alabar_index):
     ix = load_index(io.BytesIO(blob))
     assert ix.text == alabar_index.text
     assert ix.fwd.sa == alabar_index.fwd.sa
-    assert ix.fwd.isa == alabar_index.fwd.isa
+    assert ix.isa == alabar_index.isa
     assert ix.fwd.lcp == alabar_index.fwd.lcp
     assert ix.rev.sa == alabar_index.rev.sa
-    assert ix.rev.isa == alabar_index.rev.isa
+    assert not hasattr(ix.rev, "isa")  # no query reads a reverse inverse
     assert ix.rev.lcp == alabar_index.rev.lcp
     assert ix.c_array == alabar_index.c_array
     a = [alabar_data.CODE["a"]]
@@ -203,11 +203,10 @@ def test_non_permutation_rejected_without_verify(alabar_index):
     blob = save_bytes(alabar_index)
     sa = array("i", alabar_index.fwd.sa)
     sa[5] = sa[6]
-    fwd = SuffixEnsemble(sa=sa, isa=build_inverse(sa), lcp=alabar_index.fwd.lcp,
-                         text=alabar_index.text)
-    c_map = persistence._c_map_section(translate_ranks(fwd, alabar_index.rev))
+    isa = build_inverse(sa)
+    c_map = persistence._c_map_section(translate_ranks(isa, alabar_index.rev.sa))
     broken = bytearray(blob)
-    for section, values in ((2, sa[1:]), (3, fwd.isa[1:]), (7, c_map.tolist())):
+    for section, values in ((2, sa[1:]), (3, isa[1:]), (7, c_map.tolist())):
         off, count = section_extent(blob, section)
         struct.pack_into(f"<{count}Q", broken, off, *values)
     for verify in (False, True):

@@ -72,7 +72,8 @@ def test_ensemble_matches_naive_on_random_texts():
         e = build_ensemble(t)
         assert list(e.sa) == naive.naive_suffix_array(t), raw
         assert list(e.lcp) == naive.naive_lcp(t, e.sa), raw
-        assert [e.isa[e.sa[i]] for i in range(1, t.n + 1)] == list(
+        isa = build_inverse(e.sa)
+        assert [isa[e.sa[i]] for i in range(1, t.n + 1)] == list(
             range(1, t.n + 1)
         )
 
@@ -146,7 +147,7 @@ def test_pattern_range_at_the_text_end():
         t = load_text(raw)
         e = build_ensemble(t)
         for start in range(1, t.n):
-            suffix = t.symbols[start:t.n]
+            suffix = list(t.symbols[start:t.n])
             for q in (suffix, suffix + [rng.randint(1, t.sigma)]):
                 assert find_pattern_range(e, q) == naive.naive_pattern_range(t, e.sa, q)
 
@@ -161,7 +162,7 @@ def test_pattern_range_matches_loop_reference():
             e = build_ensemble(t)
             for _ in range(10):
                 start = rng.randint(1, t.n - 1)
-                overlong = t.symbols[start:t.n] + [
+                overlong = list(t.symbols[start:t.n]) + [
                     rng.randint(1, sigma) for _ in range(rng.randint(1, 3))
                 ]
                 for q in (naive.sample_codes(rng, t), overlong):
