@@ -179,9 +179,9 @@ def naive_bwt_runs(t: Text, sa: list[int]) -> int:
 def naive_pattern_range(
     t: Text, sa: list[int], q: list[int]
 ) -> tuple[int, int] | None:
+    pattern = bytes(q)
     ranks = [
-        i for i in range(1, t.n + 1)
-        if t.symbols[sa[i]: sa[i] + len(q)] == bytes(q)
+        i for i in range(1, t.n + 1) if t.symbols[sa[i]: sa[i] + len(q)] == pattern
     ]
     if not ranks:
         return None
@@ -237,7 +237,8 @@ def answered_contexts(ix, p: list[int], ell: int, strategy) -> dict:
 
 
 def naive_occurrence_count(t: Text, q: list[int]) -> int:
-    return sum(1 for i in range(1, t.n) if t.symbols[i: i + len(q)] == bytes(q))
+    pattern = bytes(q)
+    return sum(1 for i in range(1, t.n) if t.symbols[i: i + len(q)] == pattern)
 
 
 ALPHABETS = {
