@@ -5,11 +5,13 @@ start positions ``1..n`` of a remapped text; the suffix of the leading
 terminator at position 0 is deliberately excluded.  Each is a packed
 ``array('i')`` (``'q'`` when n >= 2**31) made by :func:`~cpmatch.rmq.pack`.
 
-The builders are whole-array numpy passes: prefix doubling that re-sorts
-only unresolved suffixes, an LCP array read off per-level prefix classes,
-and one scatter for the inverse.  They read their input arrays through
-``np.asarray``, a zero-copy view of a packed array, and pack their result
-once.
+The builders are whole-array numpy passes: one prefix-doubling pass that
+re-sorts only unresolved suffixes and keeps each round's prefix classes, an
+LCP array read off those classes by one descent, and one scatter for the
+inverse.  The kept classes are transient: 4n bytes per kept round plus the
+8n-byte key of the first sort, freed as the descent uses them.  The
+builders read their input arrays through ``np.asarray``, a zero-copy view
+of a packed array, and pack their result once.
 """
 
 from __future__ import annotations
@@ -43,13 +45,34 @@ def _codes(t: Text) -> np.ndarray:
     return np.frombuffer(t.symbols, dtype=np.uint8)
 
 
-def build_suffix_array(t: Text) -> array:
-    """Start positions ``1..n`` sorted by suffix, via prefix doubling.
+def _key_width(t: Text) -> tuple[int, int]:
+    """Bits per symbol and symbols per 63-bit key: ``(bits, k0)``."""
+    bits = t.sigma.bit_length()
+    return bits, min(63 // bits, t.n)
 
-    The first sort orders the suffixes by their first ``k`` symbols, packed
-    into one 63-bit key (``k`` = 21 for four symbols, 7 for 255), with
-    terminators past the text end.  The suffixes sharing a prefix fill a
-    run of slots, their group, and a suffix's rank is its group's first
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of each non-negative int64, exact up to 2**63.
+
+    A float's exponent is the bit length of the integer it holds, except
+    that above 2**53 rounding may add one; it never falls short.  The top
+    37 bits, ``x >> 26``, convert exactly, so 26 plus their length is exact
+    when they are nonzero; when they are zero it is 26, and ``x``, then
+    below 2**26, converts exactly.  The smaller of the two is the length
+    either way.
+    """
+    length = np.frexp(x >> 26)[1]
+    length += 26
+    return np.minimum(length, np.frexp(x)[1], out=length)
+
+
+def build_suffix_array(t: Text) -> tuple[array, list[np.ndarray]]:
+    """Start positions ``1..n`` sorted by suffix, and the rounds' classes.
+
+    The first sort orders the suffixes by their first ``k0`` symbols,
+    packed into one 63-bit key (``k0`` = 21 for four symbols, 7 for 255),
+    with terminators past the text end.  The suffixes sharing a prefix fill
+    a run of slots, their group, and a suffix's rank is its group's first
     slot.  Each round then re-sorts only the suffixes in groups of two or
     more, by (rank, rank ``k`` positions on), splits those groups and
     doubles ``k`` (Larsson & Sadakane, TCS 2007); a suffix alone in its
@@ -58,28 +81,38 @@ def build_suffix_array(t: Text) -> array:
     reaches the text end within ``k`` symbols, and the rounds end once
     ``k`` exceeds the longest common prefix ``L``.  Work is O(n log n) for
     the first sort plus O(u log u) per round for its ``u`` unresolved
-    suffixes: O(n log n log(L / k)) at worst (one repeated symbol), far
-    less when most suffixes resolve early.  Transient memory is about 40
-    bytes per suffix in the first sort and per unresolved suffix after it,
-    beside the 4-byte rank and slot arrays.
+    suffixes: O(n log n log(L / k0)) at worst (one repeated symbol), far
+    less when most suffixes resolve early.
+
+    One prefix-doubling pass gives both: the round classes are the LCP
+    levels that :func:`build_lcp` descends (Manber & Myers, SICOMP 1993),
+    so no second pass recomputes them.
+    ``levels[0]`` is the first sort's int64 key of every position ``1..n``;
+    ``levels[j]`` is the rank array right after round ``j``: the class of
+    every position's ``k0 * 2**j``-symbol prefix, equal exactly when the
+    prefixes are.  The last round's all-distinct ranks are not kept.
+    Transient memory is about 40 bytes per suffix in the first sort and
+    per unresolved suffix after it, beside the 4-byte rank and slot
+    arrays; the returned levels take the 8n-byte key plus 4n bytes per
+    kept round.
     """
     n = t.n
     codes = _codes(t)
-    bits = t.sigma.bit_length()
-    k = min(63 // bits, n)
-    key = np.zeros(n, dtype=np.int64)
-    for j in range(k):
+    bits, k0 = _key_width(t)
+    key = np.zeros(n + 1, dtype=np.int64)
+    for j in range(k0):
         key <<= bits
-        key[:n - j] |= codes[1 + j:]
-    order = np.argsort(key)
-    key = key[order]
+        key[1:n + 1 - j] |= codes[1 + j:]
+    levels = [key]
     # 4 bytes while the sum of two positions still fits.
     dtype = np.int32 if n < 2**30 else np.int64
     sa = np.zeros(n + 1, dtype=dtype)
-    sa[1:] = order + 1
+    sa[1:] = np.argsort(key[1:]) + 1
+    pos = sa[1:]
+    key = key[pos]
     rank = np.zeros(n + 1, dtype=dtype)
     slots = np.arange(1, n + 1, dtype=dtype)
-    pos = sa[1:]
+    k = k0
     while True:
         # ``key`` is sorted: a group starts wherever it changes.
         head = np.ones(len(key), dtype=bool)
@@ -90,6 +123,8 @@ def build_suffix_array(t: Text) -> array:
         tied[:-1] |= ~head[1:]
         if not tied.any():
             break
+        if k > k0:
+            levels.append(rank.copy())
         slots = slots[tied]
         pos = pos[tied]
         key = first[tied].astype(np.int64) * (n + 1) + rank[pos + k]
@@ -100,7 +135,7 @@ def build_suffix_array(t: Text) -> array:
         pos = pos[order]
         sa[slots] = pos
         k <<= 1
-    return pack(sa, n)
+    return pack(sa, n), levels
 
 
 def build_inverse(sa: Sequence[int]) -> array:
@@ -111,58 +146,43 @@ def build_inverse(sa: Sequence[int]) -> array:
     return pack(isa, len(values) - 1)
 
 
-def build_lcp(t: Text, sa: Sequence[int]) -> array:
+def build_lcp(t: Text, sa: Sequence[int], levels: list[np.ndarray]) -> array:
     """Longest-common-prefix lengths of rank-adjacent suffixes.
 
-    Level ``j`` gives every position the class of its ``2**j``-symbol
-    prefix, numbered in suffix order, so that equal classes mean equal
-    prefixes (Manber & Myers, SICOMP 1993).  Level 0 is the symbols.  Since
-    ``sa`` is sorted, two rank-adjacent suffixes share ``2**(j + 1)``
-    symbols exactly when they share ``2**j`` symbols and so do the suffixes
-    ``2**j`` further on: one gather of level ``j`` in suffix order, one
-    cumulative sum and one scatter give level ``j + 1``, with no sort.
-    Levels stop once no adjacent pair shares a prefix of the level's
-    length.  One descent from the top level then extends the common prefix
-    of every adjacent pair at once, by ``2**j`` wherever the classes at the
-    current offsets agree.
-    Work is O(n log L) for the longest common prefix ``L``; transient
-    memory is one 4-byte class array per level, about
-    ``4 * n * ceil(log2(L + 1))`` bytes.
+    ``levels`` are the prefix classes of :func:`build_suffix_array`'s one
+    doubling pass: level ``j`` is equal at two positions exactly when they
+    share ``k0 * 2**j`` symbols, and the last round's all-distinct classes
+    bound every common prefix below ``k0 * 2**len(levels)``.  One descent
+    from the top level extends the common prefix of every adjacent pair at
+    once, by ``k0 * 2**j`` wherever the classes at the current offsets
+    agree; each level is dropped from ``levels`` once used.  That leaves
+    fewer than ``k0`` equal symbols, which the level-0 keys give: the
+    leading zero bits of the two keys' XOR, over ``bits`` per symbol.
+    Work is O(n) per level; the only transient memory beyond the levels is
+    a few arrays of 4 to 8 bytes per adjacent pair.
     """
     n = t.n
+    bits, k0 = _key_width(t)
     dtype = np.int32 if n < 2**30 else np.int64  # positions plus offsets fit
     order = np.asarray(sa, dtype=dtype)[1:]
-    codes = _codes(t)
-    first = codes[order]
-    differ = first[1:] != first[:-1]
-    ranks = np.zeros(n, dtype=dtype)
-    levels = []
-    classes = codes
-    while not differ.all():
-        if levels:
-            np.cumsum(differ, out=ranks[1:])
-            classes = np.empty(n + 1, dtype=dtype)
-            classes[order] = ranks
-        levels.append(classes)
-        # Only a suffix holding the terminator within its first 2**j
-        # symbols can run past n, and its pairs already differ.
-        after = classes.take(order + (1 << (len(levels) - 1)), mode="clip")
-        differ |= after[1:] != after[:-1]
     a = order[:-1]
     b = order[1:]
     common = np.zeros(n - 1, dtype=dtype)
+    key = levels[0]
     for j in reversed(range(len(levels))):
-        classes = levels[j]
+        classes = levels.pop()
         agree = classes[a + common] == classes[b + common]
-        common += agree.astype(dtype) << j
+        common += agree.astype(dtype) * (k0 << j)
+    x = key[a + common] ^ key[b + common]
+    common += ((k0 * bits - _bit_length(x)) // bits).astype(dtype)
     lcp = np.zeros(n + 1, dtype=dtype)
     lcp[2:] = common
     return pack(lcp, n)
 
 
 def build_ensemble(t: Text) -> SuffixEnsemble:
-    sa = build_suffix_array(t)
-    return SuffixEnsemble(sa=sa, lcp=build_lcp(t, sa), text=t)
+    sa, levels = build_suffix_array(t)
+    return SuffixEnsemble(sa=sa, lcp=build_lcp(t, sa, levels), text=t)
 
 
 def find_pattern_range(

@@ -1,9 +1,9 @@
 """Reference implementations used as test oracles.
 
 Everything here is deliberately slow and obvious; none of it shares code
-with the structures under test.  ``doubling_suffix_array`` and
-``kasai_lcp`` are the library's earlier builders, kept as independent
-references that are fast enough for texts of 10^4 symbols;
+with the structures under test.  ``doubling_suffix_array``, ``kasai_lcp``
+and ``prefix_class_lcp`` are the library's earlier builders, kept as
+independent references that are fast enough for texts of 10^4 symbols;
 ``loop_pattern_range`` is its earlier pattern-range search, kept to pin
 the number of suffix-array reads; ``where_doubling_reference`` is its
 earlier level step of the range-minimum tables, kept to pin every stored
@@ -84,6 +84,44 @@ def kasai_lcp(t: Text, sa: list[int]) -> list[int]:
         if k:
             k -= 1
     return lcp
+
+
+def prefix_class_lcp(t: Text, sa: list[int]) -> list[int]:
+    """Manber & Myers' LCP from prefix classes doubled level by level.
+
+    Level ``j`` gives every position the class of its ``2**j``-symbol
+    prefix, numbered in suffix order; level 0 is the symbols.  One gather,
+    one cumulative sum and one scatter give level ``j + 1``, with no sort,
+    until no adjacent pair shares a prefix of the level's length.  One
+    descent from the top level then extends the common prefix of every
+    adjacent pair by ``2**j`` wherever the classes at its offsets agree.
+    """
+    n = t.n
+    order = np.asarray(sa, dtype=np.int64)[1:]
+    codes = np.frombuffer(t.symbols, dtype=np.uint8)
+    first = codes[order]
+    differ = first[1:] != first[:-1]
+    ranks = np.zeros(n, dtype=np.int64)
+    levels = []
+    classes = codes
+    while not differ.all():
+        if levels:
+            np.cumsum(differ, out=ranks[1:])
+            classes = np.empty(n + 1, dtype=np.int64)
+            classes[order] = ranks
+        levels.append(classes)
+        # Only a suffix holding the terminator within its first 2**j
+        # symbols can run past n, and its pairs already differ.
+        after = classes.take(order + (1 << (len(levels) - 1)), mode="clip")
+        differ |= after[1:] != after[:-1]
+    a = order[:-1]
+    b = order[1:]
+    common = np.zeros(n - 1, dtype=np.int64)
+    for j in reversed(range(len(levels))):
+        classes = levels[j]
+        agree = classes[a + common] == classes[b + common]
+        common += agree.astype(np.int64) << j
+    return [0, 0, *common.tolist()]
 
 
 def scan_rmq(array: list[int], i: int, j: int) -> int:

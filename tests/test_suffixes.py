@@ -1,6 +1,7 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
 from cpmatch.corpus import load_text, reverse_text
@@ -10,6 +11,7 @@ from cpmatch.index import build_index
 from cpmatch.persistence import load_index, save_index
 from cpmatch.rmq import QueryStats
 from cpmatch.suffixes import (
+    _bit_length,
     build_ensemble,
     build_inverse,
     build_lcp,
@@ -23,17 +25,24 @@ import naive
 
 
 def test_alabar_suffix_array(alabar_text):
-    assert list(build_suffix_array(alabar_text)) == alabar_data.SA
+    sa, levels = build_suffix_array(alabar_text)
+    assert list(sa) == alabar_data.SA
+    assert list(build_lcp(alabar_text, sa, levels)) == alabar_data.LCP
+    assert levels == []  # each level is dropped once used
 
 
 def test_alabar_reverse_suffix_array(alabar_text):
-    assert list(build_suffix_array(reverse_text(alabar_text))) == alabar_data.SA_REV
+    t = reverse_text(alabar_text)
+    sa, levels = build_suffix_array(t)
+    assert list(sa) == alabar_data.SA_REV
+    assert list(build_lcp(t, sa, levels)) == alabar_data.LCP_REV
 
 
 def test_single_letter_suffix_array():
     t = load_text(b"a")
-    assert list(build_suffix_array(t)) == [0, 2, 1]
-    assert list(build_lcp(t, [0, 2, 1])) == [0, 0, 0]
+    sa, levels = build_suffix_array(t)
+    assert list(sa) == [0, 2, 1]
+    assert list(build_lcp(t, sa, levels)) == [0, 0, 0]
 
 
 def test_alabar_lcp(alabar_text):
@@ -101,6 +110,60 @@ def test_build_matches_references_on_deep_texts():
         sink = io.BytesIO()
         save_index(ix, sink)
         load_index(io.BytesIO(sink.getvalue()), verify=True)
+
+
+def test_bit_length_is_exact_up_to_2_63():
+    values = [0, 1, 2**26 - 1, 2**26, 2**52, 2**53 - 1, 2**53, 2**53 + 1,
+              2**62, 2**63 - 1]
+    got = _bit_length(np.array(values, dtype=np.int64))
+    assert got.tolist() == [v.bit_length() for v in values]
+
+
+def _planted_repeats(rng, sigma, k0):
+    """Pairs of equal blocks whose common prefix is exactly each length in
+    ``m * k0 + r`` (m in 0, 1, 3; every residue r) and ``k0 * 2**j`` (and
+    one either side), in both directions: each block is preceded by two
+    different symbols and followed by two different symbols."""
+    lengths = {m * k0 + r for m in (0, 1, 3) for r in range(k0)}
+    lengths |= {(k0 << j) + d for j in range(5) for d in (-1, 0, 1)}
+    lengths.discard(0)
+    symbols = range(1, sigma + 1)
+    out = []
+    for length in sorted(lengths):
+        block = rng.choices(symbols, k=length)
+        p, q = rng.sample(symbols, 2)
+        c, d = rng.sample(symbols, 2)
+        out += [p, *block, c, q, *block, d]
+    return bytes(out + list(symbols)), lengths
+
+
+def test_lcp_levels_and_tail_for_every_key_width():
+    # One to eight bits per symbol, so the first sort packs k0 = 63 down to
+    # 7 symbols per key.  The common prefixes land on every residue of k0,
+    # so the tail reads every count of equal symbols, and on multiples of
+    # k0 * 2**j, where the descent ends on a level with no tail left.
+    rng = random.Random(41)
+    widths = set()
+    for sigma in (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255):
+        if sigma == 1:
+            k0 = 63
+            raw, lengths = b"a" * ((k0 << 4) + 2), set(range(k0 << 4))
+        else:
+            k0 = 63 // sigma.bit_length()
+            raw, lengths = _planted_repeats(rng, sigma, k0)
+        widths.add(k0)
+        text = load_text(raw)
+        assert text.sigma == sigma
+        for t in (text, reverse_text(text)):
+            sa, levels = build_suffix_array(t)
+            assert len(levels) >= 5  # k0 * 16 is a level
+            want = naive.doubling_suffix_array(t)
+            assert list(sa) == want, sigma
+            lcp = list(build_lcp(t, sa, levels))
+            assert lcp == naive.kasai_lcp(t, want), sigma
+            assert lcp == naive.prefix_class_lcp(t, want), sigma
+            assert lengths <= set(lcp), sigma
+    assert widths == {63, 31, 21, 15, 12, 10, 9, 7}
 
 
 def test_pattern_range_rev_a(alabar_text):
