@@ -16,7 +16,6 @@ from .corpus import (
 )
 from .errors import (
     BadMagicError,
-    BoundaryPartError,
     CorruptSectionError,
     CpmatchError,
     EmptyInputError,
@@ -59,7 +58,6 @@ __all__ = [
     "padded_symbol",
     "reverse_text",
     "BadMagicError",
-    "BoundaryPartError",
     "CorruptSectionError",
     "CpmatchError",
     "EmptyInputError",

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import random
 import string
 import sys
@@ -29,8 +28,6 @@ from .suffixes import compute_bwt_runs
 
 
 _HEX_DIGITS = frozenset(string.hexdigits)
-
-_log = logging.getLogger(__name__)
 
 
 def parse_pattern(text: str) -> bytes:
@@ -96,16 +93,8 @@ def _run_counts(ix: CpmIndex) -> tuple[int, int, int]:
 
 
 def _log_line(record: dict) -> None:
-    """Log ``record`` as one JSON line on stderr."""
-    handler = logging.StreamHandler(sys.stderr)
-    _log.addHandler(handler)
-    _log.setLevel(logging.INFO)
-    # A root handler set up by the embedding program would print it again.
-    _log.propagate = False
-    try:
-        _log.info(json.dumps(record))
-    finally:
-        _log.removeHandler(handler)
+    """Print ``record`` as one JSON line on stderr."""
+    print(json.dumps(record), file=sys.stderr)
 
 
 def cmd_build(args: argparse.Namespace) -> int:

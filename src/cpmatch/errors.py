@@ -33,11 +33,6 @@ class InvalidPositionError(CpmatchError):
     """A threshold scan received a position outside its valid span."""
 
 
-class BoundaryPartError(CpmatchError):
-    """An interval whose context crosses the left text end was passed to a
-    mapping routine instead of being emitted directly."""
-
-
 class NonSingletonBoundaryError(CpmatchError):
     """A boundary-crossing interval held more than one suffix.
 

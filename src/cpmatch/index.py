@@ -18,9 +18,10 @@ end are padded with terminators.  The index answers it in five moves:
    distinct right context ``Y``;
 5. report every piece with its count and a representative occurrence.
 
-Runs whose left context crosses the text start are singletons (the
-terminator occurs at exactly one position) and are emitted directly between
-steps 2 and 3.
+A run whose left context crosses the text start is a singleton (the
+terminator occurs at exactly one position).  Step 3 maps it to the rank of
+the suffix starting at the pattern occurrence itself, with offset 0 instead
+of ``ell``, and steps 4 and 5 treat it like any other run.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .corpus import SENTINEL, Text, reverse_text
-from .errors import BoundaryPartError, NonSingletonBoundaryError
+from .errors import NonSingletonBoundaryError
 from .rmq import QueryStats, RmqStructure, pack, partition_interval
 from .suffixes import SuffixEnsemble, build_ensemble, build_inverse, find_pattern_range
 
@@ -184,19 +185,22 @@ def map_via_psv_nsv(
     m: int,
     ell: int,
     stats: QueryStats | None = None,
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """Map a step-2 run to its forward interval by anchor and extension.
 
     Anchors the forward suffix starting at the run's left context, then
     widens to every suffix sharing its first ``m + ell`` symbols using
     threshold scans over the forward LCP array.  A side is scanned only
     when the LCP entry next to the anchor reaches ``m + ell``; otherwise the
-    anchor is that end of the interval, read in O(1).
+    anchor is that end of the interval, read in O(1).  Returns ``(ds, de,
+    p_offset)``: the interval and the offset of the pattern in its suffixes,
+    ``ell`` here and 0 for a run crossing the text start (see
+    :func:`emit_boundary_context`).
     """
     t = m + ell
     j = _context_start(ix, part[0], m, ell, stats)
     if j <= 0:
-        raise BoundaryPartError("run crosses the left text end")
+        return emit_boundary_context(ix, part, j + ell, stats)
     if stats is not None:
         stats.sa_accesses += 1
     p = ix.isa[j]
@@ -206,7 +210,7 @@ def map_via_psv_nsv(
         de = p
     else:
         de = ix.rmq_fwd.nsv(p, t, stats) - 1
-    return ds, de
+    return ds, de, ell
 
 
 def map_via_cmin(
@@ -215,44 +219,46 @@ def map_via_cmin(
     m: int,
     ell: int,
     stats: QueryStats | None = None,
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """Map a step-2 run to its forward interval via the translation array.
 
     The run element minimizing ``c_array`` owns the lexicographically
     smallest forward suffix of the interval, so one range minimum plus one
     inverse lookup yields the start; the size carries over unchanged.
+    Returns ``(ds, de, p_offset)`` as :func:`map_via_psv_nsv` does.
     """
-    if _context_start(ix, part[0], m, ell, stats) <= 0:
-        raise BoundaryPartError("run crosses the left text end")
+    j = _context_start(ix, part[0], m, ell, stats)
+    if j <= 0:
+        return emit_boundary_context(ix, part, j + ell, stats)
     i_min = ix.rmq_c.rmq(part[0], part[1], stats)
     if stats is not None:
         stats.sa_accesses += 2
     j = ix.text.n - ix.rev.sa[i_min] - (m + ell - 1)
     ds = ix.isa[j]
-    return ds, ds + (part[1] - part[0])
+    return ds, ds + (part[1] - part[0]), ell
 
 
 def emit_boundary_context(
     ix: CpmIndex,
     part: tuple[int, int],
-    m: int,
-    ell: int,
+    pos: int,
     stats: QueryStats | None = None,
-) -> ContextMatch:
-    """Emit the single match for a run whose left context crosses the start.
+) -> tuple[int, int, int]:
+    """Step 3 for a run whose left context crosses the text start.
 
-    Such a run is necessarily a singleton, and its answer is the rank of
-    the suffix beginning at the pattern occurrence itself.
+    Such a run is necessarily a singleton; the pattern occurrence starts at
+    ``pos``, and the run maps to the rank of that suffix with offset 0:
+    ``(rank, rank, 0)``.  Both mappers call it through this module's
+    global, under the name the benchmark's tracer patches.
     """
     if part[0] != part[1]:
         raise NonSingletonBoundaryError(
             f"boundary run [{part[0]}..{part[1]}] holds more than one suffix"
         )
     if stats is not None:
-        stats.sa_accesses += 2
-    pos = ix.text.n - ix.rev.sa[part[0]] - m + 1
+        stats.sa_accesses += 1
     rank = ix.isa[pos]
-    return _match(extract_context(ix, pos, m, ell), rank, rank, 1, pos, 0)
+    return rank, rank, 0
 
 
 def query(
@@ -290,23 +296,15 @@ def query(
     fwd_sa = ix.fwd.sa
     rmq_fwd = ix.rmq_fwd
     for part in parts:
-        try:
-            ds, de = mapper(ix, part, m, ell, stats)
-        except BoundaryPartError:
-            # The mapper found that the left context crosses the text start.
-            match = emit_boundary_context(ix, part, m, ell, stats)
-            if trace is not None:
-                trace.mapped_ranges.append((match.ds, match.de))
-            out.append(match)
-            continue
+        ds, de, p_offset = mapper(ix, part, m, ell, stats)
         if trace is not None:
             trace.mapped_ranges.append((ds, de))
         for sub_lo, sub_hi in partition_interval(rmq_fwd, ds, de, depth, stats):
             if stats is not None:
                 stats.sa_accesses += 1
-            pos = fwd_sa[sub_lo] + ell
+            pos = fwd_sa[sub_lo] + p_offset
             out.append(_match(extract_context(ix, pos, m, ell), sub_lo, sub_hi,
-                              sub_hi - sub_lo + 1, pos, ell))
+                              sub_hi - sub_lo + 1, pos, p_offset))
     return out
 
 

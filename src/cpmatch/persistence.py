@@ -149,13 +149,9 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     if _outside(symbols[1:n], 1, sigma):
         raise CorruptSectionError("text symbol out of alphabet range")
     # These checks run even without verify: ranks index the other arrays,
-    # every value must fit the tables built below, and only a permutation
-    # has the inverse that load derives.
-    for sa in (fwd_sa, rev_sa):
-        if _outside(sa, 1, n) or (
-            np.bincount(sa.astype(np.intp), minlength=n + 1)[1:] != 1
-        ).any():
-            raise CorruptSectionError(_NOT_PERMUTATION)
+    # and every value must fit the tables built below.
+    if _outside(fwd_sa, 1, n) or _outside(rev_sa, 1, n):
+        raise CorruptSectionError(_NOT_PERMUTATION)
     if _outside(fwd_lcp, 0, n - 1) or _outside(rev_lcp, 0, n - 1):
         raise CorruptSectionError(_BAD_LCP)
 
@@ -165,9 +161,13 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
         pack(np.insert(values, 0, 0), n)
         for values in (fwd_sa, fwd_lcp, rev_sa, rev_lcp)
     )
+    # n ranks in 1..n fill every slot of their inverse, leaving no zero
+    # there, exactly when they are a permutation.
+    isa, isa_rev = build_inverse(sa), build_inverse(sa_rev)
+    if not (np.asarray(isa)[1:].all() and np.asarray(isa_rev)[1:].all()):
+        raise CorruptSectionError(_NOT_PERMUTATION)
     fwd = SuffixEnsemble(sa=sa, lcp=lcp, text=text)
     rev = SuffixEnsemble(sa=sa_rev, lcp=lcp_rev, text=reverse_text(text))
-    isa = build_inverse(sa)
     c_array = translate_ranks(isa, sa_rev)
     if not np.array_equal(fwd_isa, np.asarray(isa)[1:].astype("<u8")):
         raise CorruptSectionError(_NOT_INVERSE)
@@ -177,7 +177,7 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     if verify:
         codes = np.frombuffer(text.symbols, dtype=np.uint8)
         _check_ensemble(fwd, isa, codes, ix.rmq_fwd)
-        _check_ensemble(rev, build_inverse(sa_rev), codes[::-1], ix.rmq_rev)
+        _check_ensemble(rev, isa_rev, codes[::-1], ix.rmq_rev)
     return ix
 
 

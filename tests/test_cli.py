@@ -195,6 +195,25 @@ def test_json_lines_once_with_root_logging(alabar_files, capsys):
         root.handlers[:] = saved
 
 
+def test_json_lines_survive_disabled_logging(alabar_files, capsys):
+    # An embedding program that silenced logging still gets the documented
+    # stderr line from each command.
+    text, idx = alabar_files
+    logging.disable(logging.INFO)
+    try:
+        capsys.readouterr()
+        for args in (
+            ["query", str(idx), "--pattern", "a", "--context", "1", "--stats"],
+            ["build", str(text), "-o", str(idx), "--verbose"],
+        ):
+            assert cli.main(args) == 0
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            json.loads(lines[0])
+    finally:
+        logging.disable(logging.NOTSET)
+
+
 def test_query_strategies_identical_bytes(alabar_files, capsys):
     _, idx = alabar_files
     outputs = []

@@ -6,7 +6,6 @@ import pytest
 
 from cpmatch.corpus import load_text, padded_symbol
 from cpmatch.errors import (
-    BoundaryPartError,
     EmptyPatternError,
     NonSingletonBoundaryError,
     SentinelInPatternError,
@@ -110,8 +109,8 @@ def test_query_a_ell0(alabar_index):
 
 
 def test_context_match_contract(alabar_index):
-    # Matches from both the interior path and the boundary path ($al) are
-    # frozen dataclasses: they compare, hash, replace and print like one
+    # Matches of interior runs and of the run crossing the text start ($al)
+    # are frozen dataclasses: they compare, hash, replace and print like one
     # built through the public constructor.
     matches = query(alabar_index, A, 1)
     assert {m.p_offset for m in matches} == {0, 1}
@@ -156,17 +155,17 @@ def test_query_validation(alabar_index):
 
 
 def test_map_via_psv_nsv_examples(alabar_index):
-    assert map_via_psv_nsv(alabar_index, (6, 8), 1, 1) == (13, 15)
-    assert map_via_psv_nsv(alabar_index, (3, 4), 1, 1) == (10, 11)
-    with pytest.raises(BoundaryPartError):
-        map_via_psv_nsv(alabar_index, (2, 2), 1, 1)
+    assert map_via_psv_nsv(alabar_index, (6, 8), 1, 1) == (13, 15, 1)
+    assert map_via_psv_nsv(alabar_index, (3, 4), 1, 1) == (10, 11, 1)
+    # "$al": the left context crosses the text start, so the run maps to
+    # the rank of the occurrence at position 1 with offset 0.
+    assert map_via_psv_nsv(alabar_index, (2, 2), 1, 1) == (5, 5, 0)
 
 
 def test_map_via_cmin_examples(alabar_index):
-    assert map_via_cmin(alabar_index, (3, 4), 1, 1) == (10, 11)
-    assert map_via_cmin(alabar_index, (9, 9), 1, 1) == (16, 16)
-    with pytest.raises(BoundaryPartError):
-        map_via_cmin(alabar_index, (2, 2), 1, 1)
+    assert map_via_cmin(alabar_index, (3, 4), 1, 1) == (10, 11, 1)
+    assert map_via_cmin(alabar_index, (9, 9), 1, 1) == (16, 16, 1)
+    assert map_via_cmin(alabar_index, (2, 2), 1, 1) == (5, 5, 0)
 
 
 def test_mapping_strategies_agree_on_random_parts():
@@ -184,10 +183,12 @@ def test_mapping_strategies_agree_on_random_parts():
 
 
 def test_emit_boundary_example(alabar_index):
-    match = emit_boundary_context(alabar_index, (2, 2), 1, 1)
-    assert (match.ds, match.de, match.count) == (5, 5, 1)
-    assert match.rep_position == 1 and match.p_offset == 0
-    assert match.context == alabar_data.ctx("$al")
+    # The run of "$al" holds the occurrence at position 1, the suffix of
+    # forward rank 5; reading that rank is the one counted access.
+    stats = QueryStats()
+    assert emit_boundary_context(alabar_index, (2, 2), 1, stats) == (5, 5, 0)
+    assert stats.sa_accesses == 1
+    assert (stats.rmq_calls, stats.psv_calls, stats.nsv_calls) == (0, 0, 0)
 
 
 def test_emit_boundary_deep_padding(alabar_index):
@@ -201,7 +202,27 @@ def test_emit_boundary_deep_padding(alabar_index):
 
 def test_emit_boundary_rejects_wide_parts(alabar_index):
     with pytest.raises(NonSingletonBoundaryError):
-        emit_boundary_context(alabar_index, (2, 3), 1, 1)
+        emit_boundary_context(alabar_index, (2, 3), 1)
+
+
+@pytest.mark.parametrize("pattern, ell, psv_nsv, cmin", [
+    ("a", 1, (9, 0, 2, 26), (13, 0, 0, 30)),
+    ("al", 2, (2, 0, 0, 17), (4, 0, 0, 19)),
+    ("a", 17, (7, 0, 0, 34), (7, 0, 0, 34)),
+])
+def test_boundary_query_counts(alabar_index, pattern, ell, psv_nsv, cmin):
+    # (rmq, psv, nsv, sa_accesses) of queries with runs crossing the text
+    # start: each such run costs three counted reads (its context start,
+    # its forward rank and the step-5 suffix read) and no rmq, psv or nsv
+    # call.
+    codes = [alabar_data.CODE[c] for c in pattern]
+    for strategy, counts in ((MappingStrategy.PSV_NSV, psv_nsv),
+                             (MappingStrategy.CMIN, cmin)):
+        stats = QueryStats()
+        matches = query(alabar_index, codes, ell, strategy=strategy, stats=stats)
+        assert any(m.p_offset == 0 for m in matches)
+        assert (stats.rmq_calls, stats.psv_calls, stats.nsv_calls,
+                stats.sa_accesses) == counts
 
 
 def test_enumerate_occurrences_examples(alabar_index):

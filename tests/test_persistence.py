@@ -197,21 +197,25 @@ def test_in_range_isa_and_c_map_edits_rejected_without_verify(alabar_index):
 
 
 def test_non_permutation_rejected_without_verify(alabar_index):
-    # Rank 5 repeats rank 6's suffix, and fwd_isa and c_map hold what load
-    # derives from that suffix array, so only the permutation test can
-    # tell.  Its derived inverse would hold rank 0 at the missing suffix.
+    # Rank 5 repeats rank 6's suffix in either suffix array, and fwd_isa
+    # and c_map hold what load derives from the suffix arrays, so only the
+    # permutation test can tell.  Its derived inverse would hold rank 0 at
+    # the missing suffix.
     blob = save_bytes(alabar_index)
-    sa = array("i", alabar_index.fwd.sa)
-    sa[5] = sa[6]
-    isa = build_inverse(sa)
-    c_map = persistence._c_map_section(translate_ranks(isa, alabar_index.rev.sa))
-    broken = bytearray(blob)
-    for section, values in ((2, sa[1:]), (3, isa[1:]), (7, c_map.tolist())):
-        off, count = section_extent(blob, section)
-        struct.pack_into(f"<{count}Q", broken, off, *values)
-    for verify in (False, True):
-        with pytest.raises(CorruptSectionError, match="not a permutation"):
-            load_index(io.BytesIO(bytes(broken)), verify=verify)
+    for section in (2, 5):  # fwd_sa, rev_sa
+        fwd_sa = array("i", alabar_index.fwd.sa)
+        rev_sa = array("i", alabar_index.rev.sa)
+        sa = fwd_sa if section == 2 else rev_sa
+        sa[5] = sa[6]
+        isa = build_inverse(fwd_sa)
+        c_map = persistence._c_map_section(translate_ranks(isa, rev_sa))
+        broken = bytearray(blob)
+        for patched, values in ((section, sa[1:]), (3, isa[1:]), (7, c_map.tolist())):
+            off, count = section_extent(blob, patched)
+            struct.pack_into(f"<{count}Q", broken, off, *values)
+        for verify in (False, True):
+            with pytest.raises(CorruptSectionError, match="not a permutation"):
+                load_index(io.BytesIO(bytes(broken)), verify=verify)
 
 
 def swap_slots(broken: bytearray, blob: bytes, off: int, i: int, j: int) -> None:
