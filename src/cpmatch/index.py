@@ -273,7 +273,7 @@ def query(
 
     Both strategies return identical results; ``trace``, when given, records
     the reverse rank interval, the step-2 part starts, and the mapped
-    forward ranges.
+    forward ranges of this query alone, replacing what it held before.
     """
     p = list(pattern)
     if ell < 0:
@@ -284,6 +284,8 @@ def query(
     rev_range = find_pattern_range(ix.rev, p[::-1], stats)
     if trace is not None:
         trace.rev_range = rev_range
+        trace.part_starts = []
+        trace.mapped_ranges = []
     if rev_range is None:
         return []
 

@@ -212,24 +212,7 @@ class RmqStructure:
             return i
         if k > 7:  # j - i + 1 >= BLOCK
             return self._across_blocks(i, j)
-        # :meth:`_window`, inlined: the call costs about a tenth of an rmq.
-        row = self._rows[k]
-        pa = i + row[i]
-        b = j + 1 - (1 << k)
-        pb = b + row[b]
-        array = self.array
-        return pb if array[pb] < array[pa] else pa
-
-    def _window(self, i: int, j: int) -> int:
-        """``rmq`` of a range narrower than ``BLOCK``, uncounted.
-
-        A one-rank range reads nothing.  Otherwise two overlapping windows
-        of one row, each one offset read and one addition; the left
-        window's answer wins ties, which keeps the result leftmost.
-        """
-        k = (j - i + 1).bit_length() - 1
-        if not k:
-            return i
+        # Two overlapping windows of one row, the left one winning ties.
         row = self._rows[k]
         pa = i + row[i]
         b = j + 1 - (1 << k)
@@ -240,29 +223,26 @@ class RmqStructure:
     def _across_blocks(self, i: int, j: int) -> int:
         """``rmq`` of a range of ``BLOCK`` or more positions, uncounted.
 
-        Three pieces, compared left to right so that ties go left: the
-        partial block at ``i``, the whole blocks ``first..last`` through the
-        block table, and the partial block at ``j``.  A range this wide
-        leaves each partial piece narrower than ``BLOCK``, and holds at
-        least one whole block when ``i`` starts one.
+        The split of :meth:`range_minima`: the range's first and last
+        ``BLOCK - 1`` positions, each read by an uncounted :meth:`rmq`, and
+        the whole blocks between them through the block table.  The three
+        answers are compared left to right with a strict ``<``, so that ties
+        go left.
         """
         array = self.array
-        first = (i + 254) >> 8
+        best = self.rmq(i, i + (BLOCK - 2))
+        first = (i + (BLOCK - 2)) >> 8
         last = (j >> 8) - 1
-        best = self._window(i, first << 8) if i <= first << 8 else 0
         if first <= last:
             k = (last - first + 1).bit_length() - 1
             row = self._blocks[k]
             pa = row[first]
             pb = row[last + 1 - (1 << k)]
             middle = pb if array[pb] < array[pa] else pa
-            if not best or array[middle] < array[best]:
+            if array[middle] < array[best]:
                 best = middle
-        if j & 255:
-            right = self._window(((last + 1) << 8) + 1, j)
-            if array[right] < array[best]:
-                best = right
-        return best
+        right = self.rmq(j - (BLOCK - 2), j)
+        return right if array[right] < array[best] else best
 
     def psv(self, p: int, d: int, stats: QueryStats | None = None) -> int:
         """Largest ``q < p`` with ``array[q] < d``, or 0 when none exists.

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import tracemalloc
 
@@ -10,6 +11,7 @@ from cpmatch.errors import (
     NonSingletonBoundaryError,
     SentinelInPatternError,
 )
+from cpmatch.generate import generate_repetitive
 from cpmatch.index import (
     C_UNDEFINED,
     ContextMatch,
@@ -24,7 +26,7 @@ from cpmatch.index import (
     query,
 )
 from cpmatch.oracle import oracle_contexts
-from cpmatch.rmq import QueryStats
+from cpmatch.rmq import BLOCK, QueryStats, RmqStructure
 from cpmatch.suffixes import find_pattern_range
 
 import alabar_data
@@ -98,6 +100,18 @@ def test_query_a_ell1_trace(alabar_index):
     assert trace.rev_range == alabar_data.A_ELL1_REV_RANGE
     assert trace.part_starts == alabar_data.A_ELL1_PART_STARTS
     assert trace.mapped_ranges == alabar_data.A_ELL1_MAPPED
+
+
+def test_reused_trace_holds_only_the_last_query(alabar_index):
+    # The last query is absent, so its trace must come out empty.
+    reused = QueryTrace()
+    for word in ("a", "bar", "aa"):
+        codes = [alabar_data.CODE[c] for c in word]
+        fresh = QueryTrace()
+        query(alabar_index, codes, 1, trace=fresh)
+        query(alabar_index, codes, 1, trace=reused)
+        assert reused == fresh, word
+    assert reused == QueryTrace()
 
 
 def test_query_a_ell0(alabar_index):
@@ -223,6 +237,37 @@ def test_boundary_query_counts(alabar_index, pattern, ell, psv_nsv, cmin):
         assert any(m.p_offset == 0 for m in matches)
         assert (stats.rmq_calls, stats.psv_calls, stats.nsv_calls,
                 stats.sa_accesses) == counts
+
+
+def test_cross_block_query_counts(monkeypatch):
+    # (rmq, psv, nsv, sa_accesses) totals of every pattern of 1-3 symbols
+    # with ell 0-4 on a 10^4-symbol text, where short patterns span
+    # thousands of ranks: a wide rmq splits into blocks yet counts once.
+    ix = build_index(load_text(generate_repetitive(2000, 4, 0.02, 1)))
+    widths = []
+    rmq = RmqStructure.rmq
+
+    def recorded(self, i, j, stats=None):
+        if stats is not None:
+            widths.append(j - i + 1)
+        return rmq(self, i, j, stats)
+
+    monkeypatch.setattr(RmqStructure, "rmq", recorded)
+    totals = {}
+    for strategy in MappingStrategy:
+        stats = QueryStats()
+        for m in (1, 2, 3):
+            for pattern in itertools.product(range(1, 5), repeat=m):
+                for ell in range(5):
+                    query(ix, pattern, ell, strategy=strategy, stats=stats)
+        totals[strategy] = (stats.rmq_calls, stats.psv_calls, stats.nsv_calls,
+                            stats.sa_accesses)
+    assert totals == {
+        MappingStrategy.PSV_NSV: (51454, 6671, 7333, 57232),
+        MappingStrategy.CMIN: (61999, 0, 0, 67777),
+    }
+    assert len(widths) == 51454 + 61999
+    assert max(widths) >= BLOCK
 
 
 def test_enumerate_occurrences_examples(alabar_index):
