@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import string
 import sys
@@ -103,8 +104,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     t1 = time.perf_counter()
     ix = build_index(t)
     t2 = time.perf_counter()
-    with open(args.output, "wb") as fh:
-        save_index(ix, fh)
+    _save_atomically(ix, args.output)
     t3 = time.perf_counter()
     r, r_rev, r_max = _run_counts(ix)
     t4 = time.perf_counter()
@@ -117,6 +117,33 @@ def cmd_build(args: argparse.Namespace) -> int:
             "bwt_runs_s": t4 - t3,
         })
     return 0
+
+
+def _save_atomically(ix: CpmIndex, output: str) -> None:
+    """Save ``ix`` to ``output`` so that a failed save leaves it as it was.
+
+    The index goes to a temporary file in the same directory, which
+    replaces ``output`` only once complete and is removed on any failure.
+    An existing target that is not a regular file, such as a device or a
+    pipe, is written in place.
+    """
+    if os.path.exists(output) and not os.path.isfile(output):
+        with open(output, "wb") as fh:
+            save_index(ix, fh)
+        return
+    target = os.path.realpath(output)  # replace a link's target, not the link
+    partial = f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(partial, "xb")
+    except OSError as exc:  # name INDEX, not the temporary file
+        raise OSError(exc.errno, exc.strerror, output) from None
+    try:
+        with fh:
+            save_index(ix, fh)
+        os.replace(partial, target)
+    except BaseException:
+        os.remove(partial)
+        raise
 
 
 def _emit_match(args: argparse.Namespace, ix: CpmIndex, match: ContextMatch) -> None:

@@ -21,12 +21,19 @@ Every value is u64 regardless of n, trading bytes for format stability.
 Acceleration tables are rebuilt on load, and ``fwd_isa`` and ``c_map`` are
 derived again from the suffix arrays, which the stored copies must equal.
 Output is a pure function of the index: saving twice yields identical bytes.
+
+Both directions stream: every section size follows from n and sigma, so
+the header goes first and the sections follow one at a time, in file
+order, and neither side ever seeks.  At most one section's u64 bytes are
+held at a time.  Load checks each section as it arrives, so of two faults
+the first in file order is the one reported.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Sequence
+from array import array
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -60,31 +67,38 @@ _BAD_C_MAP = "rank-translation array inconsistent"
 
 
 def save_index(ix: CpmIndex, sink: BinaryIO) -> int:
-    """Write the index to ``sink``; returns the number of bytes written."""
+    """Write the index to ``sink``; returns the number of bytes written.
+
+    The header goes first, then each section in file order, converted to
+    u64 and written through the buffer protocol before the next one is
+    made, so at most one section's u64 bytes are held at a time.
+    """
     t = ix.text
-    sections = [
-        np.asarray(values, dtype="<u8").tobytes()
-        for values in (
-            t.byte_for_code[1:],
-            np.frombuffer(t.symbols, dtype=np.uint8),
-            np.asarray(ix.fwd.sa)[1:],
-            np.asarray(ix.isa)[1:],
-            np.asarray(ix.fwd.lcp)[1:],
-            np.asarray(ix.rev.sa)[1:],
-            np.asarray(ix.rev.lcp)[1:],
-            _c_map_section(ix.c_array),
-        )
-    ]
-    header = [MAGIC, struct.pack("<I", VERSION), struct.pack("<QQ", t.n, t.sigma)]
+    header = [MAGIC, struct.pack("<IQQ", VERSION, t.n, t.sigma)]
     offset = _HEADER_SIZE
-    for body in sections:
-        header.append(struct.pack("<QQ", offset, len(body)))
-        offset += len(body)
-    total = 0
-    for chunk in (*header, *sections):
-        sink.write(chunk)
-        total += len(chunk)
-    return total
+    for size in _section_sizes(t.n, t.sigma):
+        header.append(struct.pack("<QQ", offset, size))
+        offset += size
+    sink.write(b"".join(header))
+    for body in _section_bodies(ix):
+        sink.write(body)
+        del body  # before the next section is made
+    return offset
+
+
+def _section_sizes(n: int, sigma: int) -> list[int]:
+    """Byte size of each section, in file order."""
+    return [8 * count for count in (sigma, n + 1, n, n, n, n, n, n)]
+
+
+def _section_bodies(ix: CpmIndex) -> Iterator[np.ndarray]:
+    """Each section's u64 values in file order, made only when asked for."""
+    t = ix.text
+    yield np.asarray(t.byte_for_code[1:], dtype="<u8")
+    yield np.frombuffer(t.symbols, dtype=np.uint8).astype("<u8")
+    for values in (ix.fwd.sa, ix.isa, ix.fwd.lcp, ix.rev.sa, ix.rev.lcp):
+        yield np.asarray(values)[1:].astype("<u8")
+    yield _c_map_section(ix.c_array)
 
 
 def _c_map_section(c_array: Sequence[int]) -> np.ndarray:
@@ -113,6 +127,11 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     build does and requires the stored copies to equal them, and rejects
     bytes past the last section.  ``verify`` (the default) adds the O(n)
     order and LCP checks.  Violations raise :class:`CorruptSectionError`.
+
+    Sections are read, checked and packed one at a time in file order, and
+    each one's u64 bytes are dropped once used, so at most one section's
+    u64 bytes are held at a time.  Of two faults, the first in file order
+    is the one reported; the order and LCP checks come last.
     """
     magic = _read_exact(source, 4, "magic")
     if magic != MAGIC:
@@ -124,61 +143,68 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     if n < 2 or sigma < 1 or sigma > 255 or sigma > n - 1:
         raise CorruptSectionError(f"implausible dimensions n={n} sigma={sigma}")
 
-    expected_counts = [sigma, n + 1, n, n, n, n, n, n]
-    table = []
+    sizes = _section_sizes(n, sigma)
     offset = _HEADER_SIZE
-    for idx in range(_SECTION_COUNT):
-        off, size = struct.unpack("<QQ", _read_exact(source, 16, "section table"))
-        if off != offset or size != expected_counts[idx] * 8:
+    for idx, size in enumerate(sizes):
+        off, stored = struct.unpack("<QQ", _read_exact(source, 16, "section table"))
+        if off != offset or stored != size:
             raise CorruptSectionError(f"section {idx} has inconsistent extent")
-        table.append((off, size))
         offset += size
-
-    sections = [
+    sections = (
         np.frombuffer(_read_exact(source, size, f"section {idx}"), dtype="<u8")
-        for idx, (_, size) in enumerate(table)
-    ]
-    alphabet, symbols, fwd_sa, fwd_isa, fwd_lcp, rev_sa, rev_lcp, c_map = sections
-    if source.read(1):
-        raise CorruptSectionError("stream holds bytes after the last section")
+        for idx, size in enumerate(sizes)
+    )
 
+    alphabet = next(sections)
     if _outside(alphabet, 1, 255) or (alphabet[1:] <= alphabet[:-1]).any():
         raise CorruptSectionError("alphabet section is not an ordered byte set")
+    symbols = next(sections)
     if symbols[0] != SENTINEL or symbols[n] != SENTINEL:
         raise CorruptSectionError("text does not start and end with the terminator")
     if _outside(symbols[1:n], 1, sigma):
         raise CorruptSectionError("text symbol out of alphabet range")
-    # These checks run even without verify: ranks index the other arrays,
-    # and every value must fit the tables built below.
-    if _outside(fwd_sa, 1, n) or _outside(rev_sa, 1, n):
-        raise CorruptSectionError(_NOT_PERMUTATION)
-    if _outside(fwd_lcp, 0, n - 1) or _outside(rev_lcp, 0, n - 1):
-        raise CorruptSectionError(_BAD_LCP)
-
     text = make_text(symbols.astype(np.uint8).tobytes(), alphabet.tolist())
-    # Each rank section becomes a 1-based array after a padding zero.
-    sa, lcp, sa_rev, lcp_rev = (
-        pack(np.insert(values, 0, 0), n)
-        for values in (fwd_sa, fwd_lcp, rev_sa, rev_lcp)
-    )
-    # n ranks in 1..n fill every slot of their inverse, leaving no zero
-    # there, exactly when they are a permutation.
-    isa, isa_rev = build_inverse(sa), build_inverse(sa_rev)
-    if not (np.asarray(isa)[1:].all() and np.asarray(isa_rev)[1:].all()):
-        raise CorruptSectionError(_NOT_PERMUTATION)
+    del symbols
+    # The rank checks run even without verify: ranks index the other
+    # arrays, and every value must fit the tables built below.
+    sa, isa = _suffix_array(next(sections), n)
+    if not np.array_equal(next(sections), np.asarray(isa)[1:].astype("<u8")):
+        raise CorruptSectionError(_NOT_INVERSE)
+    lcp = _rank_section(next(sections), 0, n, _BAD_LCP)
+    sa_rev, isa_rev = _suffix_array(next(sections), n)
+    lcp_rev = _rank_section(next(sections), 0, n, _BAD_LCP)
+    c_array = translate_ranks(isa, sa_rev)
+    if not np.array_equal(next(sections), _c_map_section(c_array)):
+        raise CorruptSectionError(_BAD_C_MAP)
+    if source.read(1):
+        raise CorruptSectionError("stream holds bytes after the last section")
+
     fwd = SuffixEnsemble(sa=sa, lcp=lcp, text=text)
     rev = SuffixEnsemble(sa=sa_rev, lcp=lcp_rev, text=reverse_text(text))
-    c_array = translate_ranks(isa, sa_rev)
-    if not np.array_equal(fwd_isa, np.asarray(isa)[1:].astype("<u8")):
-        raise CorruptSectionError(_NOT_INVERSE)
-    if not np.array_equal(c_map, _c_map_section(c_array)):
-        raise CorruptSectionError(_BAD_C_MAP)
     ix = assemble_index(text, fwd, rev, c_array, isa)
     if verify:
         codes = np.frombuffer(text.symbols, dtype=np.uint8)
         _check_ensemble(fwd, isa, codes, ix.rmq_fwd)
         _check_ensemble(rev, isa_rev, codes[::-1], ix.rmq_rev)
     return ix
+
+
+def _rank_section(values: np.ndarray, lo: int, n: int, message: str) -> array:
+    """A section of n values in ``lo..n - 1 + lo`` as a 1-based packed array."""
+    if _outside(values, lo, n - 1 + lo):
+        raise CorruptSectionError(message)
+    return pack(values, n, pad=1)
+
+
+def _suffix_array(values: np.ndarray, n: int) -> tuple[array, array]:
+    """A suffix-array section and its inverse, both 1-based and packed."""
+    sa = _rank_section(values, 1, n, _NOT_PERMUTATION)
+    # n ranks in 1..n fill every slot of their inverse, leaving no zero
+    # there, exactly when they are a permutation.
+    isa = build_inverse(sa)
+    if not np.asarray(isa)[1:].all():
+        raise CorruptSectionError(_NOT_PERMUTATION)
+    return sa, isa
 
 
 def _outside(values: np.ndarray, lo: int, hi: int) -> bool:

@@ -30,25 +30,25 @@ import numpy as np
 from .errors import EmptyArrayError, InvalidPositionError, InvalidRangeError
 
 
-def pack(values: np.ndarray, n: int) -> packed_array:
-    """``values``, each in ``0..n``, as one packed array.
+def pack(values: np.ndarray, n: int, pad: int = 0) -> packed_array:
+    """``values``, each in ``0..n``, after ``pad`` zeros, as one packed array.
 
     4-byte integers (``'i'``), or 8-byte (``'q'``) when n >= 2**31.  Indexing
     it reads like a list; ``np.asarray`` of it is a zero-copy view.  It
     compares equal to another array, not to a list: compare ``list(...)``.
     """
-    return _filled("i" if n < 2**31 else "q", values)
+    return _filled("i" if n < 2**31 else "q", values, pad)
 
 
-def _filled(typecode: str, values: np.ndarray) -> packed_array:
-    """``values`` as a packed array of ``typecode``, allocated to fit.
+def _filled(typecode: str, values: np.ndarray, pad: int = 0) -> packed_array:
+    """``values`` after ``pad`` zeros as a packed array of ``typecode``.
 
     Repeating one item allocates the exact size, where growing an array
     would add a sixteenth; filling it through a view is one copy, with no
     bytes object in between.
     """
-    out = packed_array(typecode, [0]) * len(values)
-    np.asarray(out)[:] = values
+    out = packed_array(typecode, [0]) * (pad + len(values))
+    np.asarray(out)[pad:] = values
     return out
 
 

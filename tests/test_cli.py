@@ -1,8 +1,10 @@
 import csv
 import json
 import logging
+import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -47,6 +49,49 @@ def test_build_output_line(alabar_files, capsys, alabar_index):
     r_rev = compute_bwt_runs(alabar_index.rev)
     expected = f"n=17 sigma=5 r={r} r_rev={r_rev} r_max={max(r, r_rev)}\n"
     assert out == expected
+
+
+def test_failed_build_leaves_old_index(alabar_files, capsys, monkeypatch):
+    # A save that fails part-way (a full disk, say) must neither truncate
+    # the index already at INDEX nor leave its partial file behind.
+    text, idx = alabar_files
+    good = idx.read_bytes()
+    listing = sorted(idx.parent.iterdir())
+
+    def failing_save(ix, sink):
+        sink.write(b"CPMX partial")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "save_index", failing_save)
+    capsys.readouterr()
+    assert cli.main(["build", str(text), "-o", str(idx)]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert idx.read_bytes() == good
+    assert sorted(idx.parent.iterdir()) == listing
+
+
+def test_build_writes_through_links_and_pipes(alabar_files, tmp_path):
+    # The temporary file replaces a link's target, not the link; a pipe
+    # cannot be replaced, so it is written in place.
+    text, idx = alabar_files
+    good = idx.read_bytes()
+    target = tmp_path / "target.idx"
+    target.write_bytes(b"old")
+    link = tmp_path / "link.idx"
+    link.symlink_to(target)
+    assert cli.main(["build", str(text), "-o", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == good
+
+    fifo = tmp_path / "pipe.idx"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_bytes()), daemon=True
+    )
+    reader.start()
+    assert cli.main(["build", str(text), "-o", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and received == [good]
 
 
 def test_build_verbose(alabar_files, capsys):

@@ -75,7 +75,7 @@ def test_index_memory_is_packed():
     # 256-wide block and level of the block table.
     tables = 3 * (7 * n + 4 * (n >> 8) * n.bit_length())
     base = 7 * 4 * n  # sa, isa and lcp of both ensembles, and c_array
-    reversed_text = 8 * n  # one list slot per symbol
+    reversed_text = n + 1  # one byte per symbol, terminators included
     assert retained <= tables + base + reversed_text
     assert ix.text.n == n
 

@@ -2,6 +2,7 @@ import hashlib
 import io
 import random
 import struct
+import tracemalloc
 from array import array
 
 import pytest
@@ -68,6 +69,65 @@ def test_format_bytes_are_pinned(raw, digest):
     # shows here, where repeated saves by the same code cannot show it.
     blob = save_bytes(build_index(load_text(raw)))
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+class Unseekable(io.BytesIO):
+    """A stream that can only be read or written in order."""
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+def test_round_trip_never_seeks(alabar_index):
+    blob = save_bytes(alabar_index)
+    sink = Unseekable()
+    assert save_index(alabar_index, sink) == len(blob)
+    assert sink.getvalue() == blob
+    loaded = load_index(Unseekable(blob))
+    assert save_bytes(loaded) == blob
+
+
+class Discard:
+    def write(self, data):
+        pass
+
+
+@pytest.fixture(scope="module")
+def index_2_16():
+    n = 1 << 16
+    return build_index(load_text(naive.random_raw(random.Random(11), n - 1, 4)))
+
+
+def traced_peak(call):
+    """Run ``call``; return its result, its peak heap and what it retains."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, retained - before
+
+
+def test_save_holds_one_section_at_a_time(index_2_16):
+    # Eight u64 sections take 64 bytes per text byte; one of them, 8.
+    n = index_2_16.text.n
+    _, peak, _ = traced_peak(lambda: save_index(index_2_16, Discard()))
+    assert peak <= 10 * n
+
+
+def test_load_holds_one_section_at_a_time(index_2_16):
+    # All eight u64 sections at once would take 64 bytes per text byte
+    # above what the loaded index keeps.
+    n = index_2_16.text.n
+    blob = save_bytes(index_2_16)
+    ix, peak, retained = traced_peak(lambda: load_index(io.BytesIO(blob)))
+    assert ix.fwd.sa == index_2_16.fwd.sa
+    assert peak - retained <= 32 * n
 
 
 def test_base_arrays_are_packed(alabar_index):
