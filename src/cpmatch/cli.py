@@ -10,6 +10,7 @@ import random
 import string
 import sys
 import time
+from dataclasses import asdict, astuple, fields
 
 from .corpus import Text, encode_pattern, load_text
 from .errors import CpmatchError
@@ -29,6 +30,14 @@ from .suffixes import compute_bwt_runs
 
 
 _HEX_DIGITS = frozenset(string.hexdigits)
+
+
+class UsageError(Exception):
+    """A bad argument or input line: ``main`` prints ``WHERE: reason``, exits 2."""
+
+    #: ``error`` for a command-line argument, ``FILE:LINE`` for a line of a
+    #: pattern file.
+    where = "error"
 
 
 def parse_pattern(text: str) -> bytes:
@@ -147,44 +156,57 @@ def _save_atomically(ix: CpmIndex, output: str) -> None:
 
 
 def _emit_match(args: argparse.Namespace, ix: CpmIndex, match: ContextMatch) -> None:
-    rendered = render_symbols(match.context, ix.text.byte_for_code)
-    positions = enumerate_occurrences(ix, match) if args.enumerate else None
+    """Print ``match`` as one TSV row or JSON object, per ``--format``."""
+    record = {
+        "context": render_symbols(match.context, ix.text.byte_for_code),
+        "ds": match.ds,
+        "de": match.de,
+        "count": match.count,
+        "rep_position": match.rep_position,
+    }
+    if args.enumerate:
+        record["positions"] = enumerate_occurrences(ix, match)
     if args.format == "json":
-        record = {
-            "context": rendered,
-            "ds": match.ds,
-            "de": match.de,
-            "count": match.count,
-            "rep_position": match.rep_position,
-        }
-        if positions is not None:
-            record["positions"] = positions
         print(json.dumps(record))
         return
-    fields = [rendered, match.ds, match.de, match.count, match.rep_position]
-    if positions is not None:
-        fields.append(",".join(str(p) for p in positions))
-    print("\t".join(str(f) for f in fields))
+    if args.enumerate:
+        record["positions"] = ",".join(map(str, record["positions"]))
+    print("\t".join(map(str, record.values())))
+
+
+def _checked_query(pattern_text: str, ell: int) -> bytes:
+    """The pattern of a query, after checking it and its context length ell.
+
+    ``pattern_text`` holds one code point per byte of the pattern as given,
+    with ``\\xNN`` and ``\\\\`` escapes.  Raises UsageError for a negative
+    ell, a bad escape or an empty pattern; ``_check_ell_fits`` checks ell
+    against the text once its length is known.
+    """
+    if ell < 0:
+        raise UsageError("context length must be >= 0")
+    try:
+        pattern = parse_pattern(pattern_text)
+    except ValueError as exc:
+        raise UsageError(exc) from None
+    if not pattern:
+        raise UsageError("pattern must be nonempty")
+    return pattern
+
+
+def _check_ell_fits(ell: int, n: int) -> None:
+    """Raise UsageError if ``ell`` is longer than the text of length n."""
+    if ell > n:
+        raise UsageError(f"context length {ell} exceeds the text length {n}")
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    if args.context < 0:
-        print("error: context length must be >= 0", file=sys.stderr)
-        return 2
-    try:
-        raw = parse_pattern(args.pattern)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not raw:
-        print("error: pattern must be nonempty", file=sys.stderr)
-        return 2
+    # The argument's own bytes: UTF-8 text matches as UTF-8.
+    pattern_text = os.fsencode(args.pattern).decode("latin-1")
+    pattern = _checked_query(pattern_text, args.context)
     with open(args.index, "rb") as fh:
         ix = load_index(fh)
-    if args.context > ix.text.n:
-        print(f"error: {_ell_too_long(args.context, ix.text.n)}", file=sys.stderr)
-        return 2
-    codes = encode_pattern(ix.text, raw)
+    _check_ell_fits(args.context, ix.text.n)
+    codes = encode_pattern(ix.text, pattern)
     strategy = MappingStrategy(args.strategy)
     stats = QueryStats() if args.stats else None
     t0 = time.perf_counter()
@@ -196,14 +218,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     for match in matches:
         _emit_match(args, ix, match)
     if stats is not None:
-        _log_line({
-            "rmq_calls": stats.rmq_calls,
-            "psv_calls": stats.psv_calls,
-            "nsv_calls": stats.nsv_calls,
-            "sa_accesses": stats.sa_accesses,
-            "contexts": len(matches),
-            "wall_s": wall_s,
-        })
+        _log_line({**asdict(stats), "contexts": len(matches), "wall_s": wall_s})
     return 0
 
 
@@ -224,28 +239,23 @@ def _excerpt(t: Text) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.queries < 0 or args.max_ell < 0:
-        print("error: --queries and --max-ell must be >= 0", file=sys.stderr)
-        return 2
+        raise UsageError("--queries and --max-ell must be >= 0")
     t = _load_text_file(args.text)
-    if args.max_ell > t.n:
-        print(f"error: {_ell_too_long(args.max_ell, t.n)}", file=sys.stderr)
-        return 2
+    _check_ell_fits(args.max_ell, t.n)
     ix = build_index(t)
     rng = random.Random(args.seed)
     for _ in range(args.queries):
         p = _sample_pattern(rng, t)
         ell = rng.randint(0, args.max_ell)
         expected = oracle_contexts(t, p, ell)
-        got_by_strategy = {}
-        for strategy in MappingStrategy:
-            matches = query(ix, p, ell, strategy=strategy)
-            got_by_strategy[strategy] = {
-                m.context: sorted(enumerate_occurrences(ix, m)) for m in matches
+        got_by_strategy = {
+            strategy: {
+                m.context: sorted(enumerate_occurrences(ix, m))
+                for m in query(ix, p, ell, strategy=strategy)
             }
-        agree = got_by_strategy[MappingStrategy.PSV_NSV] == got_by_strategy[
-            MappingStrategy.CMIN
-        ]
-        if not agree or got_by_strategy[MappingStrategy.PSV_NSV] != expected:
+            for strategy in MappingStrategy
+        }
+        if any(got != expected for got in got_by_strategy.values()):
             rendered_p = render_symbols(p, t.byte_for_code)
             print("mismatch:", file=sys.stderr)
             print(f"  text   {_excerpt(t)}", file=sys.stderr)
@@ -258,92 +268,63 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ell_too_long(ell: int, n: int) -> str:
-    """Why ``ell`` is refused: longer than the indexed text of length n."""
-    return f"context length {ell} exceeds the text length {n}"
+def _read_pattern_file(path: str, t: Text) -> list[tuple[list[int], int]]:
+    """(codes, ell) queries on text t from a file of PATTERN<TAB>ELL lines.
 
-
-def _read_pattern_file(path: str, n: int) -> list[tuple[bytes, int]]:
-    """(pattern, ell) pairs from PATTERN<TAB>ELL lines, for a text of length n.
-
-    Blank lines and lines starting with '#' are skipped.  A malformed line,
-    or one whose ell exceeds n, raises ValueError whose message starts with
-    ``path:line:``.
+    A pattern is the line's own bytes, as for ``query --pattern``.  Blank
+    lines and lines starting with '#' are skipped, and so are patterns with
+    a byte the text lacks, which cannot occur.  A malformed line, or one
+    whose ell exceeds the text length, raises UsageError located at
+    ``path:line``.
     """
     queries = []
     with open(path, "rb") as fh:
         for lineno, raw_line in enumerate(fh, start=1):
+            line = raw_line.decode("latin-1").rstrip("\r\n")
+            if not line or line.startswith("#"):
+                continue
             try:
-                line = raw_line.decode("utf-8").rstrip("\r\n")
-                if not line or line.startswith("#"):
-                    continue
                 pattern_text, tab, ell_text = line.rpartition("\t")
                 if not tab:
-                    raise ValueError("expected PATTERN<TAB>ELL")
-                pattern = parse_pattern(pattern_text)
-                if not pattern:
-                    raise ValueError("pattern must be nonempty")
+                    raise UsageError("expected PATTERN<TAB>ELL")
                 try:
                     ell = int(ell_text)
                 except ValueError:
-                    raise ValueError(f"context length {ell_text!r} is not an integer")
-                if ell < 0:
-                    raise ValueError("context length must be >= 0")
-                if ell > n:
-                    raise ValueError(_ell_too_long(ell, n))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            queries.append((pattern, ell))
-    return queries
-
-
-def _bench_queries(
-    args: argparse.Namespace,
-    ix: CpmIndex,
-    patterns: list[tuple[bytes, int]] | None,
-):
-    """Yield (codes, ell) pairs from parsed pattern-file lines or a seeded sampler.
-
-    Patterns with a byte outside the index alphabet cannot occur and are
-    skipped.
-    """
-    if patterns is not None:
-        for pattern, ell in patterns:
-            codes = encode_pattern(ix.text, pattern)
+                    raise UsageError(f"context length {ell_text!r} is not an integer")
+                pattern = _checked_query(pattern_text, ell)
+                _check_ell_fits(ell, t.n)
+            except UsageError as exc:
+                exc.where = f"{path}:{lineno}"
+                raise
+            codes = encode_pattern(t, pattern)
             if codes is not None:
-                yield codes, ell
-        return
-    rng = random.Random(args.seed)
-    for _ in range(args.random):
-        yield _sample_pattern(rng, ix.text), rng.randint(0, 8)
+                queries.append((codes, ell))
+    return queries
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.random is not None and args.random < 0:
-        print("error: --random must be >= 0", file=sys.stderr)
-        return 2
+        raise UsageError("--random must be >= 0")
     with open(args.index, "rb") as fh:
         ix = load_index(fh)
-    patterns = None
-    if args.patterns:
-        try:
-            patterns = _read_pattern_file(args.patterns, ix.text.n)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+    if args.patterns is not None:
+        queries = _read_pattern_file(args.patterns, ix.text)
+    else:
+        rng = random.Random(args.seed)
+        queries = (
+            (_sample_pattern(rng, ix.text), rng.randint(0, 8))
+            for _ in range(args.random)
+        )
     strategy = MappingStrategy(args.strategy)
     r, r_rev, r_max = _run_counts(ix)
     n = ix.text.n
+    counters = [f.name for f in fields(QueryStats)]
     with open(args.csv, "w", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(
-            [
-                "m", "ell", "c", "occ", "wall_s",
-                "rmq_calls", "psv_calls", "nsv_calls", "sa_accesses",
-                "r", "r_rev", "r_max", "n",
-            ]
+            ["m", "ell", "c", "occ", "wall_s", *counters, "r", "r_rev", "r_max", "n"]
         )
-        for codes, ell in _bench_queries(args, ix, patterns):
+        for codes, ell in queries:
             stats = QueryStats()
             t0 = time.perf_counter()
             matches = query(ix, codes, ell, strategy=strategy, stats=stats)
@@ -352,8 +333,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 [
                     len(codes), ell, len(matches),
                     sum(m.count for m in matches), f"{dt:.6f}",
-                    stats.rmq_calls, stats.psv_calls, stats.nsv_calls,
-                    stats.sa_accesses,
+                    *astuple(stats),
                     r, r_rev, r_max, n,
                 ]
             )
@@ -364,8 +344,7 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
     try:
         blob = generate_repetitive(args.base, args.copies, args.mut_rate, args.seed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     with open(args.output, "wb") as fh:
         fh.write(blob)
     return 0
@@ -441,6 +420,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"{exc.where}: {exc}", file=sys.stderr)
+        return 2
     except (CpmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -24,6 +24,16 @@ def alabar_files(tmp_path):
     return text, idx
 
 
+@pytest.fixture()
+def cafe_index(tmp_path):
+    # The UTF-8 text holds "é" as the two bytes C3 A9, twice.
+    text = tmp_path / "cafe.txt"
+    text.write_bytes("café au lait, café noir".encode("utf-8"))
+    idx = tmp_path / "cafe.idx"
+    assert cli.main(["build", str(text), "-o", str(idx)]) == 0
+    return idx
+
+
 def test_parse_pattern_escapes():
     assert cli.parse_pattern("abc") == b"abc"
     assert cli.parse_pattern(r"a\x62c") == b"abc"
@@ -139,12 +149,16 @@ def expected_tsv_rows(enumerate_positions=False):
     return rows
 
 
-def test_query_tsv(alabar_files, capsys):
+def test_query_tsv(alabar_files, cafe_index, capsys):
     _, idx = alabar_files
     capsys.readouterr()
     assert cli.main(["query", str(idx), "--pattern", "a", "--context", "1"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == expected_tsv_rows()
+    # A pattern is the argument's bytes: "é" is C3 A9, not the byte E9.
+    args = ["query", str(cafe_index), "--pattern", "é", "--context", "1"]
+    assert cli.main(args) == 0
+    assert capsys.readouterr() == ("f\\xc3\\xa9 \t13\t14\t2\t4\n", "")
 
 
 def test_query_tsv_enumerate(alabar_files, capsys):
@@ -276,10 +290,14 @@ def test_query_strategies_identical_bytes(alabar_files, capsys):
 def test_query_usage_errors(alabar_files, capsys):
     _, idx = alabar_files
     base = ["query", str(idx)]
-    assert cli.main(base + ["--pattern", "a", "--context", "-1"]) == 2
-    assert cli.main(base + ["--pattern", r"\q", "--context", "1"]) == 2
-    assert cli.main(base + ["--pattern", "", "--context", "1"]) == 2
     capsys.readouterr()
+    for pattern, ell, message in (
+        ("a", "-1", "context length must be >= 0"),
+        (r"\q", "1", r"bad escape at offset 0: '\\q'"),
+        ("", "1", "pattern must be nonempty"),
+    ):
+        assert cli.main(base + ["--pattern", pattern, "--context", ell]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_context_longer_than_text_is_usage_error(alabar_files, capsys):
@@ -400,18 +418,31 @@ def test_bench_strategy(alabar_files, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bench_pattern_file(alabar_files, tmp_path, capsys):
+def test_bench_pattern_file(alabar_files, cafe_index, tmp_path, capsys):
     _, idx = alabar_files
     pats = tmp_path / "patterns.txt"
-    pats.write_text("# comment\nala\t2\nbar\t0\nzz\t1\n")
+    pats.write_bytes(b"# comment\nala\t2\nbar\t0\nzz\t1\n# tab\tcomment\nlab\t1\r\n")
     out_csv = tmp_path / "bench.csv"
     args = ["bench", str(idx), "--patterns", str(pats), "--csv", str(out_csv)]
     assert cli.main(args) == 0
     with open(out_csv, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert [row[0] for row in rows[1:]] == ["3", "3"]  # zz has no codes
-    assert [row[1] for row in rows[1:]] == ["2", "0"]
+    assert [row[0] for row in rows[1:]] == ["3", "3", "3"]  # zz has no codes
+    assert [row[1] for row in rows[1:]] == ["2", "0", "1"]
+    # A pattern is the line's bytes: UTF-8 "é" is C3 A9, and a line that
+    # is not UTF-8 is a pattern too (the byte E9, absent from the text).
+    pats.write_bytes("é\t1\n".encode("utf-8") + b"\xe9\t1\n")
+    args[1] = str(cafe_index)
+    assert cli.main(args) == 0
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[:4] for row in rows[1:]] == [["2", "1", "1", "2"]]
+    # An empty --patterns path names no file; it is not --random.
+    out_csv.unlink()
     capsys.readouterr()
+    assert cli.main(args[:2] + ["--patterns", ""] + args[4:]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize(
@@ -449,9 +480,14 @@ def test_negative_counts_are_usage_errors(alabar_files, tmp_path, capsys, comman
     text, idx = alabar_files
     out_csv = tmp_path / "out.csv"
     paths = {"TEXT": str(text), "INDEX": str(idx), "OUT": str(out_csv)}
+    message = {
+        "verify": "--queries and --max-ell must be >= 0",
+        "bench": "--random must be >= 0",
+    }[command[0]]
+    capsys.readouterr()
     assert cli.main([paths.get(arg, arg) for arg in command]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ")
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not out_csv.exists()
 
@@ -472,7 +508,7 @@ def test_gen_corpus_validation(tmp_path, capsys):
     args = ["gen-corpus", "--base", "10", "--copies", "1",
             "--mut-rate", "1.5", "--seed", "1", "-o", str(tmp_path / "x")]
     assert cli.main(args) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: mutation rate must lie in [0, 1]\n")
 
 
 def test_gen_corpus_roundtrip_pipeline(tmp_path, capsys):
