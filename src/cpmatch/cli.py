@@ -60,7 +60,10 @@ def parse_pattern(text: str) -> bytes:
                 out.append(int(digits, 16))
                 i += 4
                 continue
-            raise ValueError(f"bad escape at offset {i}: {text[i:i+4]!r}")
+            # Each code point is one byte given; quote them as UTF-8.
+            window = text[i:i + 4].encode("latin-1", "backslashreplace")
+            window = window.decode("utf-8", "backslashreplace")
+            raise ValueError(f"bad escape at offset {i}: {window!r}")
         code = ord(ch)
         if code > 0xFF:
             raise ValueError(f"character {ch!r} is not a single byte")

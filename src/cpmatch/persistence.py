@@ -54,7 +54,8 @@ _SECTION_COUNT = 8
 _HEADER_SIZE = 4 + 4 + 8 + 8 + _SECTION_COUNT * 16
 _UNDEF_ON_DISK = (1 << 64) - 1
 
-#: Ranks per vectorised step of the load-time order and LCP checks.
+#: Ranks per vectorised step of the load-time order and LCP checks; the
+#: held run-boundary pairs get one range-minimum call per half as many.
 _VERIFY_BLOCK = 1 << 15
 
 #: Largest single read, so that memory grows only with the bytes present.
@@ -126,7 +127,10 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     arrays to be permutations, derives ``fwd_isa`` and ``c_map`` as the
     build does and requires the stored copies to equal them, and rejects
     bytes past the last section.  ``verify`` (the default) adds the O(n)
-    order and LCP checks.  Violations raise :class:`CorruptSectionError`.
+    order and LCP checks of :func:`_check_ensemble`: one gather of ``psi``
+    per rank, and range minima only for the r - sigma - 1 pairs per
+    direction at BWT-run boundaries.  Violations raise
+    :class:`CorruptSectionError`.
 
     Sections are read, checked and packed one at a time in file order, and
     each one's u64 bytes are dropped once used, so at most one section's
@@ -216,15 +220,25 @@ def _check_ensemble(
 ) -> None:
     """Check that the permutation ``e.sa`` is sorted and ``rmq.array`` its LCP.
 
-    Both checks are O(n) and need no symbol-by-symbol comparison.  Order
-    (Burkhardt & Kaerkkaeinen, CPM 2003): for rank-adjacent suffixes ``a``,
-    ``b``, either ``codes[a] < codes[b]``, or the first symbols are equal
-    and ``a + 1`` ranks below ``b + 1``.  LCP: ``lcp[1] = 0``, and
-    ``lcp[r]`` is 0 when the first symbols differ, else one more than the
-    minimum of ``lcp`` over the ranks after ``a + 1`` up to ``b + 1``.  Once
-    the order holds, the true LCP array is the only one meeting this.
-    Equal first symbols are never the terminator, which occurs only at n,
-    so ``a + 1`` and ``b + 1`` are suffixes, ranked by the inverse ``isa``.
+    Both checks are O(n) and need no symbol-by-symbol comparison.  Write
+    ``psi(r)`` for the rank of ``sa[r] + 1``.  Order (Burkhardt &
+    Kaerkkaeinen, CPM 2003): for ranks ``r - 1``, ``r``, either the first
+    symbol of suffix ``sa[r - 1]`` is below that of ``sa[r]``, or they are
+    equal and ``psi(r - 1) < psi(r)``.  LCP: ``lcp[1] = 0``, and ``lcp[r]``
+    is 0 when the first symbols differ, else one more than the minimum of
+    ``lcp`` over ``psi(r - 1) + 1 .. psi(r)``.  Once the order holds, the
+    true LCP array is the only one meeting this.  Equal first symbols are
+    never the terminator, which occurs only at n, so ``psi`` is read only
+    at suffixes.
+
+    One gather of ``psi`` per block of ranks serves both checks.  Where
+    ``psi(r) = psi(r - 1) + 1`` the minimum is ``lcp[psi(r)]`` alone.  The
+    other pairs with equal first symbols are the r - sigma - 1 at BWT-run
+    boundaries (the irreducible LCPs of Kaerkkaeinen, Manzini & Puglisi,
+    CPM 2009).  They are held, and checked together by one
+    ``range_minima`` call per ``_VERIFY_BLOCK // 2`` of them.  Held pairs
+    are checked before a later block's fault is raised, so faults are
+    reported as if each block were checked in full before the next.
     """
     sa = np.asarray(e.sa)
     isa = np.asarray(isa)
@@ -232,19 +246,48 @@ def _check_ensemble(
     lcp = np.asarray(rmq.array)
     if lcp[1] != 0:
         raise CorruptSectionError(_BAD_LCP)
+    held: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    held_count = 0
     # Blocks of ranks keep the temporaries small whatever n is.
     for lo in range(1, n, _VERIFY_BLOCK):
         hi = min(lo + _VERIFY_BLOCK, n)
-        a = sa[lo:hi]
-        b = sa[lo + 1:hi + 1]
-        first_a = codes[a]
-        first_b = codes[b]
-        same = first_a == first_b
-        next_a = isa[a[same] + 1]
-        next_b = isa[b[same] + 1]
-        if (first_a > first_b).any() or (next_a >= next_b).any():
+        suffixes = sa[lo:hi + 1]
+        first = codes[suffixes]
+        # Suffix n has no successor; its clipped read is never used.
+        psi = isa.take(suffixes + 1, mode="clip")
+        same = first[:-1] == first[1:]
+        step = np.diff(psi)
+        if (first[:-1] > first[1:]).any() or (same & (step <= 0)).any():
+            _check_held(held, rmq)
             raise CorruptSectionError("suffix array ranks out of order")
-        expected = np.zeros(hi - lo, dtype=isa.dtype)
-        expected[same] = rmq.range_minima(next_a + 1, next_b) + 1
-        if (lcp[lo + 1:hi + 1] != expected).any():
+        observed = lcp[lo + 1:hi + 1]
+        expected = lcp[psi[1:]] + 1
+        expected *= same
+        boundary = np.flatnonzero(same & (step != 1))
+        expected[boundary] = observed[boundary]
+        if (observed != expected).any():
+            _check_held(held, rmq)
             raise CorruptSectionError(_BAD_LCP)
+        if boundary.size:
+            held.append((boundary + (lo + 1), psi[boundary] + 1, psi[boundary + 1]))
+            held_count += boundary.size
+        if held_count >= _VERIFY_BLOCK // 2:
+            _check_held(held, rmq)
+            held_count = 0
+    _check_held(held, rmq)
+
+
+def _check_held(
+    held: list[tuple[np.ndarray, np.ndarray, np.ndarray]], rmq: RmqStructure
+) -> None:
+    """Check held run-boundary pairs ``(ranks, starts, ends)``, then drop them.
+
+    Each ``rmq.array[rank]`` must be one more than the minimum over
+    ``starts..ends``; one ``range_minima`` call answers them all.
+    """
+    if not held:
+        return
+    ranks, starts, ends = (np.concatenate(part) for part in zip(*held))
+    held.clear()
+    if (np.asarray(rmq.array)[ranks] != rmq.range_minima(starts, ends) + 1).any():
+        raise CorruptSectionError(_BAD_LCP)

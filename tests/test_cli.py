@@ -294,6 +294,8 @@ def test_query_usage_errors(alabar_files, capsys):
     for pattern, ell, message in (
         ("a", "-1", "context length must be >= 0"),
         (r"\q", "1", r"bad escape at offset 0: '\\q'"),
+        # The bytes after a bad escape are quoted as the UTF-8 they are.
+        ("\\q\u00e9", "1", r"bad escape at offset 0: '\\qé'"),
         ("", "1", "pattern must be nonempty"),
     ):
         assert cli.main(base + ["--pattern", pattern, "--context", ell]) == 2
@@ -443,6 +445,10 @@ def test_bench_pattern_file(alabar_files, cafe_index, tmp_path, capsys):
     assert cli.main(args[:2] + ["--patterns", ""] + args[4:]) == 3
     assert capsys.readouterr().err.startswith("error: ")
     assert not out_csv.exists()
+    # A bad escape is quoted as the UTF-8 bytes the line holds.
+    pats.write_bytes("\\q\u00e9\t1\n".encode("utf-8"))
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"{pats}:1: bad escape at offset 0: '\\\\qé'\n"
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,8 @@ from cpmatch.index import MappingStrategy, build_index, query, translate_ranks
 from cpmatch.oracle import oracle_contexts
 from cpmatch import cli, persistence
 from cpmatch.persistence import load_index, save_index
-from cpmatch.suffixes import build_inverse
+from cpmatch.rmq import RmqStructure
+from cpmatch.suffixes import build_inverse, compute_bwt_runs
 
 import alabar_data
 import naive
@@ -407,6 +408,57 @@ def test_swapped_symbol_buckets_caught_by_verify():
         broken = bytearray(blob)
         swap_ranks_consistently(broken, blob, reverse, 1, 2)
         with pytest.raises(CorruptSectionError, match="out of order"):
+            load_index(io.BytesIO(bytes(broken)))
+
+
+def test_range_minima_only_at_bwt_run_boundaries(monkeypatch):
+    # A verified load needs a range minimum only for the rank pairs at
+    # BWT-run boundaries, r - sigma - 1 per direction; every other pair
+    # reads one LCP entry.
+    ix = build_index(load_text(generate_repetitive(2000, 9, 0.01, 1)))
+    blob = save_bytes(ix)
+    ranges = []
+    range_minima = RmqStructure.range_minima
+
+    def counted(self, lo, hi):
+        ranges.append(len(lo))
+        return range_minima(self, lo, hi)
+
+    monkeypatch.setattr(RmqStructure, "range_minima", counted)
+    load_index(io.BytesIO(blob))
+    sigma = ix.text.sigma
+    r, r_rev = compute_bwt_runs(ix.fwd), compute_bwt_runs(ix.rev)
+    assert sum(ranges) == (r - sigma - 1) + (r_rev - sigma - 1)
+
+
+def test_lcp_edits_caught_at_both_kinds_of_pair(monkeypatch):
+    # An LCP at a psi-adjacent pair is checked in its own block; one at a
+    # run-boundary pair is held for a later range-minimum call.  Both
+    # must be caught.
+    block = 16
+    monkeypatch.setattr(persistence, "_VERIFY_BLOCK", block)
+    ix = build_index(load_text(generate_repetitive(200, 3, 0.05, 1)))
+    blob = save_bytes(ix)
+    # Each rank r >= 2 whose suffix shares its first symbol with rank
+    # r - 1's, and whether psi(r) = psi(r - 1) + 1, psi(r) being the rank
+    # of sa[r] + 1.
+    symbols, sa, isa = ix.text.symbols, ix.fwd.sa, ix.isa
+    pairs = [
+        (r, isa[sa[r] + 1] == isa[sa[r - 1] + 1] + 1)
+        for r in range(2, ix.text.n + 1)
+        if symbols[sa[r]] == symbols[sa[r - 1]]
+    ]
+    adjacent = next(r for r, step in pairs if step)
+    boundary = next(
+        r for r, step in pairs if not step and (r - 2) // block > (adjacent - 2) // block
+    )
+    off, _ = section_extent(blob, 4)  # fwd_lcp, rank r at slot r - 1
+    n = ix.text.n
+    for r in (adjacent, boundary):
+        old = ix.fwd.lcp[r]
+        broken = bytearray(blob)
+        struct.pack_into("<Q", broken, off + 8 * (r - 1), old + 1 if old < n - 1 else old - 1)
+        with pytest.raises(CorruptSectionError, match="LCP array inconsistent"):
             load_index(io.BytesIO(bytes(broken)))
 
 
