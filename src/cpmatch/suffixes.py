@@ -7,11 +7,17 @@ terminator at position 0 is deliberately excluded.  Each is a packed
 
 The builders are whole-array numpy passes: one prefix-doubling pass that
 re-sorts only unresolved suffixes and keeps each round's prefix classes, an
-LCP array read off those classes by one descent, and one scatter for the
-inverse.  The kept classes are transient: 4n bytes per kept round plus the
-8n-byte key of the first sort, freed as the descent uses them.  The
-builders read their input arrays through ``np.asarray``, a zero-copy view
-of a packed array, and pack their result once.
+LCP array read off those classes, and one scatter for the inverse.  The
+first sort's keys are packed by doubling their width, in about log2 k0
+passes; each round finds its group starts by a running maximum and
+selects its tied suffixes through one index.  An adjacent pair whose
+first-sort keys differ takes its LCP from their XOR; only the other pairs
+descend the classes.  The kept classes are transient: 4n bytes per kept
+round plus the 8n-byte key of the first sort, freed as the descent uses
+them.  One direction's build peaks at about 54 bytes of heap per text byte
+on repetitive text and 29 on random text (n = 2**16).  The builders read
+their input arrays through ``np.asarray``, a zero-copy view of a packed
+array, and pack their result once.
 """
 
 from __future__ import annotations
@@ -66,6 +72,32 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.minimum(length, np.frexp(x)[1], out=length)
 
 
+def _packed_keys(t: Text) -> np.ndarray:
+    """Each position's first ``k0`` symbols packed into one int64, slot 0 zero.
+
+    Doubling the packed width, ``W_2w[i] = W_w[i] << bits*w | W_w[i + w]``,
+    and appending one symbol per set bit of ``k0`` below its top bit,
+    reaches ``k0`` symbols in ``floor(log2 k0)`` doublings plus at most as
+    many appends, Horner-style: six shift-or passes for ``k0`` = 21.
+    Windows that run past the text end read the terminator code 0.
+    """
+    bits, k0 = _key_width(t)
+    codes = _codes(t)
+    key = codes.astype(np.int64)
+    width = 1
+    for bit in bin(k0)[3:]:
+        doubled = key << (bits * width)
+        doubled[:-width] |= key[width:]
+        key = doubled
+        width *= 2
+        if bit == "1":
+            key <<= bits
+            key[:-width] |= codes[width:]
+            width += 1
+    key[0] = 0
+    return key
+
+
 def build_suffix_array(t: Text) -> tuple[array, list[np.ndarray]]:
     """Start positions ``1..n`` sorted by suffix, and the rounds' classes.
 
@@ -91,48 +123,62 @@ def build_suffix_array(t: Text) -> tuple[array, list[np.ndarray]]:
     ``levels[j]`` is the rank array right after round ``j``: the class of
     every position's ``k0 * 2**j``-symbol prefix, equal exactly when the
     prefixes are.  The last round's all-distinct ranks are not kept.
-    Transient memory is about 40 bytes per suffix in the first sort and
-    per unresolved suffix after it, beside the 4-byte rank and slot
-    arrays; the returned levels take the 8n-byte key plus 4n bytes per
-    kept round.
+
+    Passes: the packing takes about log2 k0 shift-or passes (see
+    :func:`_packed_keys`).  A round compares neighbouring keys once for its
+    group heads, finds their starts as ``slots * head`` and one running
+    maximum, then selects its tied slots, positions and starts through one
+    index and builds the next keys in one int64 array.  Transient memory is
+    about 16 bytes per suffix in the first sort (its int64 order and the
+    sorted keys) and about 32 per unresolved suffix in a round (keys, their
+    order and sorted copy, slots and positions), beside the 4-byte rank
+    and slot arrays; the returned levels take the 8n-byte key plus 4n bytes
+    per kept round.
     """
     n = t.n
-    codes = _codes(t)
-    bits, k0 = _key_width(t)
-    key = np.zeros(n + 1, dtype=np.int64)
-    for j in range(k0):
-        key <<= bits
-        key[1:n + 1 - j] |= codes[1 + j:]
+    _, k0 = _key_width(t)
+    key = _packed_keys(t)
     levels = [key]
-    # 4 bytes while the sum of two positions still fits.
+    # Positions and ranks take 4 bytes each below n = 2**30.
     dtype = np.int32 if n < 2**30 else np.int64
+    order = np.argsort(key[1:])
     sa = np.zeros(n + 1, dtype=dtype)
-    sa[1:] = np.argsort(key[1:]) + 1
+    np.add(order, 1, out=sa[1:], casting="unsafe")
+    key = key[1:][order]
+    del order
     pos = sa[1:]
-    key = key[pos]
     rank = np.zeros(n + 1, dtype=dtype)
     slots = np.arange(1, n + 1, dtype=dtype)
     k = k0
     while True:
         # ``key`` is sorted: a group starts wherever it changes.
-        head = np.ones(len(key), dtype=bool)
+        head = np.empty(len(key), dtype=bool)
+        head[0] = True
         np.not_equal(key[1:], key[:-1], out=head[1:])
-        first = np.maximum.accumulate(np.where(head, slots, 0))
-        rank[pos] = first
-        tied = ~head
-        tied[:-1] |= ~head[1:]
-        if not tied.any():
+        # Each array goes once used: the round's heap peak is what is left.
+        del key
+        alone = head.copy()
+        alone[:-1] &= head[1:]
+        if alone.all():
             break
+        first = slots * head
+        np.maximum.accumulate(first, out=first)
+        rank[pos] = first
         if k > k0:
             levels.append(rank.copy())
+        tied = np.flatnonzero(~alone)
+        del alone
         slots = slots[tied]
         pos = pos[tied]
-        key = first[tied].astype(np.int64) * (n + 1) + rank[pos + k]
+        key = np.multiply(first[tied], n + 1, dtype=np.int64)
+        del first, tied
+        key += rank[k:][pos]
         # Within a group the previous order often sorts the new keys
         # already, and a stable sort runs through such stretches in O(u).
         order = np.argsort(key, kind="stable")
         key = key[order]
         pos = pos[order]
+        del order
         sa[slots] = pos
         k <<= 1
     return pack(sa, n), levels
@@ -146,37 +192,65 @@ def build_inverse(sa: Sequence[int]) -> array:
     return pack(isa, len(values) - 1)
 
 
+#: Adjacent pairs per step of :func:`build_lcp`: each step's temporaries
+#: take a few dozen bytes a pair, so 2**13 pairs stay below half a MB.
+_LCP_CHUNK = 1 << 13
+
+
+def _tail(x: np.ndarray, bits: int, k0: int) -> np.ndarray:
+    """Equal leading symbols of two ``k0``-symbol keys, from their XOR."""
+    return (k0 * bits - _bit_length(x)) // bits
+
+
 def build_lcp(t: Text, sa: Sequence[int], levels: list[np.ndarray]) -> array:
     """Longest-common-prefix lengths of rank-adjacent suffixes.
 
     ``levels`` are the prefix classes of :func:`build_suffix_array`'s one
     doubling pass: level ``j`` is equal at two positions exactly when they
     share ``k0 * 2**j`` symbols, and the last round's all-distinct classes
-    bound every common prefix below ``k0 * 2**len(levels)``.  One descent
-    from the top level extends the common prefix of every adjacent pair at
-    once, by ``k0 * 2**j`` wherever the classes at the current offsets
-    agree; each level is dropped from ``levels`` once used.  That leaves
-    fewer than ``k0`` equal symbols, which the level-0 keys give: the
-    leading zero bits of the two keys' XOR, over ``bits`` per symbol.
-    Work is O(n) per level; the only transient memory beyond the levels is
-    a few arrays of 4 to 8 bytes per adjacent pair.
+    bound every common prefix below ``k0 * 2**len(levels)``.  Fewer than
+    ``k0`` equal symbols are read off the level-0 keys: the leading zero
+    bits of the two keys' XOR, over ``bits`` per symbol.  One gather of the
+    keys in suffix order gives that XOR for every adjacent pair, and a pair
+    whose keys differ is done.  Only the tied pairs, equal on their first
+    ``k0`` symbols, descend: from the top level, a pair's common prefix
+    grows by ``k0 * 2**j`` wherever the classes at its current offsets
+    agree, each level is dropped from ``levels`` once used, and the keys'
+    XOR at the final offsets gives the rest.  No pair descends on random
+    text; on repetitive text most do.  Work is one pass over the pairs plus
+    O(t) per level for the ``t`` tied ones; transient memory beyond the
+    levels is the 4n-byte result, 16 bytes per tied pair, and one
+    ``_LCP_CHUNK`` of pairs' temporaries.
     """
     n = t.n
     bits, k0 = _key_width(t)
     dtype = np.int32 if n < 2**30 else np.int64  # positions plus offsets fit
     order = np.asarray(sa, dtype=dtype)[1:]
-    a = order[:-1]
-    b = order[1:]
-    common = np.zeros(n - 1, dtype=dtype)
     key = levels[0]
+    lcp = np.zeros(n + 1, dtype=dtype)
+    found = []
+    for lo in range(0, n - 1, _LCP_CHUNK):
+        ends = key[order[lo:lo + _LCP_CHUNK + 1]]
+        x = ends[1:] ^ ends[:-1]
+        lcp[2 + lo:2 + lo + len(x)] = _tail(x, bits, k0)
+        found.append(np.flatnonzero(x == 0).astype(dtype) + lo)
+    tied = np.concatenate(found)
+    del found
+    a = order[tied]
+    b = order[tied + 1]
+    common = np.zeros(len(tied), dtype=dtype)
+    spans = [slice(lo, lo + _LCP_CHUNK)
+             for lo in range(0, len(tied), _LCP_CHUNK)]
     for j in reversed(range(len(levels))):
         classes = levels.pop()
-        agree = classes[a + common] == classes[b + common]
-        common += agree.astype(dtype) * (k0 << j)
-    x = key[a + common] ^ key[b + common]
-    common += ((k0 * bits - _bit_length(x)) // bits).astype(dtype)
-    lcp = np.zeros(n + 1, dtype=dtype)
-    lcp[2:] = common
+        for span in spans:
+            c = common[span]
+            agree = classes[a[span] + c] == classes[b[span] + c]
+            c += agree.astype(dtype) * (k0 << j)
+    for span in spans:
+        c = common[span]
+        x = key[a[span] + c] ^ key[b[span] + c]
+        lcp[2 + tied[span]] = c + _tail(x, bits, k0)
     return pack(lcp, n)
 
 

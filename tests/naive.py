@@ -4,6 +4,7 @@ Everything here is deliberately slow and obvious; none of it shares code
 with the structures under test.  ``doubling_suffix_array``, ``kasai_lcp``
 and ``prefix_class_lcp`` are the library's earlier builders, kept as
 independent references that are fast enough for texts of 10^4 symbols;
+``packed_keys`` is its earlier first-sort key packing, one pass per symbol;
 ``loop_pattern_range`` is its earlier pattern-range search, kept to pin
 the number of suffix-array reads; ``where_doubling_reference`` is its
 earlier level step of the range-minimum tables, kept to pin every stored
@@ -84,6 +85,24 @@ def kasai_lcp(t: Text, sa: list[int]) -> list[int]:
         if k:
             k -= 1
     return lcp
+
+
+def packed_keys(t: Text) -> np.ndarray:
+    """Each position's first ``k0`` symbols as one int64, one pass a symbol.
+
+    ``bits = sigma.bit_length()`` per symbol and ``k0 = min(63 // bits, n)``
+    symbols per key, the first symbol highest.  Slot 0 holds 0, and a
+    window that runs past the text end reads 0 there.
+    """
+    n = t.n
+    bits = t.sigma.bit_length()
+    k0 = min(63 // bits, n)
+    codes = np.frombuffer(t.symbols, dtype=np.uint8)
+    key = np.zeros(n + 1, dtype=np.int64)
+    for j in range(k0):
+        key <<= bits
+        key[1:n + 1 - j] |= codes[1 + j:]
+    return key
 
 
 def prefix_class_lcp(t: Text, sa: list[int]) -> list[int]:

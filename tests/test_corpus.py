@@ -42,8 +42,30 @@ def test_load_empty_rejected():
 
 
 def test_load_sentinel_byte_rejected():
-    with pytest.raises(SentinelByteError):
-        load_text(b"ab\x00cd")
+    # Alone, first, in the middle and last.
+    for raw in (b"\x00", b"\x00abc", b"ab\x00cd", b"abc\x00"):
+        with pytest.raises(SentinelByteError) as caught:
+            load_text(raw)
+        assert str(caught.value) == (
+            "input contains the reserved terminator byte 0x00"
+        )
+
+
+def test_load_matches_the_sorted_set_remap():
+    # The codes that sorting the distinct bytes assigns, on alphabets drawn
+    # from every nonzero byte value.
+    rng = random.Random(100)
+    for _ in range(300):
+        alphabet = rng.sample(range(1, 256), rng.randint(1, 255))
+        raw = bytes(rng.choices(alphabet, k=rng.randint(1, 300)))
+        distinct = sorted(set(raw))
+        codes = bytes.maketrans(bytes(distinct),
+                                bytes(range(1, len(distinct) + 1)))
+        t = load_text(raw)
+        assert t.symbols == b"\0" + raw.translate(codes) + b"\0"
+        assert t.sigma == len(distinct)
+        assert t.byte_for_code == (0, *distinct)
+        assert t.code_for_byte == {b: c for c, b in enumerate(distinct, 1)}
 
 
 def test_reverse_spelling(alabar_text):

@@ -20,7 +20,7 @@ from cpmatch.oracle import oracle_contexts
 from cpmatch import cli, persistence
 from cpmatch.persistence import load_index, save_index
 from cpmatch.rmq import RmqStructure
-from cpmatch.suffixes import build_inverse, compute_bwt_runs
+from cpmatch.suffixes import build_ensemble, build_inverse, compute_bwt_runs
 
 import alabar_data
 import naive
@@ -64,6 +64,15 @@ def test_save_is_deterministic(alabar_index):
      "5822a0053b9c41b758d8290394c6d86a592144997724068dfc08e782513cc600"),
     (generate_repetitive(200, 3, 0.05, 1),
      "d35784e50add7483d6a4a44b6571c1dec2eaacb41bc82d61dd00ef8aff39e7ea"),
+    # Keys near the text end, several doubling rounds, many LCP chunks.
+    pytest.param(
+        generate_repetitive(7000, 19, 0.01, 1),
+        "bc1a615ef2a0afe020e20b4a8553377cac2429097e72df112902b071897f7c62",
+        id="repetitive-140001"),
+    pytest.param(
+        generate_repetitive(70_000, 0, 0.0, 1, sigma=26),
+        "67ed50c2a85240365f03bdeb986f6c62aa08d3dcb9c5bfc9d64fac7f7fce8f18",
+        id="random-70001"),
 ])
 def test_format_bytes_are_pinned(raw, digest):
     # Digests of format version 1 saves; any change to a section's bytes
@@ -129,6 +138,19 @@ def test_load_holds_one_section_at_a_time(index_2_16):
     ix, peak, retained = traced_peak(lambda: load_index(io.BytesIO(blob)))
     assert ix.fwd.sa == index_2_16.fwd.sa
     assert peak - retained <= 32 * n
+
+
+@pytest.mark.parametrize("raw, bound", [
+    # n = 65,532, deep common prefixes: 53.7 B/B measured.
+    pytest.param(generate_repetitive(3449, 18, 0.01, 1), 56, id="repetitive"),
+    # n = 65,537, sigma = 26, no two suffixes share 12 symbols: 29.0 B/B.
+    pytest.param(generate_repetitive(65_536, 0, 0.0, 1, sigma=26), 31,
+                 id="random"),
+])
+def test_build_ensemble_heap_peak(raw, bound):
+    t = load_text(raw)
+    _, peak, _ = traced_peak(lambda: build_ensemble(t))
+    assert peak <= bound * t.n
 
 
 def test_base_arrays_are_packed(alabar_index):

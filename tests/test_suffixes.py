@@ -166,6 +166,29 @@ def test_lcp_levels_and_tail_for_every_key_width():
     assert widths == {63, 31, 21, 15, 12, 10, 9, 7}
 
 
+def test_packed_keys_match_the_symbol_loop():
+    # Every key width of the test above, on texts holding the whole
+    # alphabet and on texts shorter than one key, where k0 = n.  The last
+    # k0 positions' windows read the terminator at n and run past the end.
+    rng = random.Random(42)
+    for sigma in (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255):
+        k0 = 63 // sigma.bit_length()
+        symbols = list(range(1, sigma + 1))
+        rng.shuffle(symbols)
+        full = bytes(symbols + rng.choices(symbols, k=3 * k0 + 5))
+        short = [bytes(rng.choices(symbols, k=size)) for size in range(1, k0)]
+        assert load_text(full).sigma == sigma
+        for raw in (full, *short):
+            t = load_text(raw)
+            n, bits = t.n, t.sigma.bit_length()
+            got = build_suffix_array(t)[1][0]
+            assert got.tolist() == naive.packed_keys(t).tolist(), raw
+            # The last symbol's window holds it, then only terminators.
+            width = min(63 // bits, n)
+            assert got[n - 1] == t.symbols[n - 1] << bits * (width - 1)
+            assert got[n] == 0
+
+
 def test_pattern_range_rev_a(alabar_text):
     e = build_ensemble(reverse_text(alabar_text))
     assert find_pattern_range(e, [alabar_data.CODE["a"]]) == (2, 9)
