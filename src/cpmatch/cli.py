@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import random
-import string
+import re
 import sys
 import time
 from dataclasses import asdict, astuple, fields
@@ -29,7 +30,19 @@ from .rmq import QueryStats
 from .suffixes import compute_bwt_runs
 
 
-_HEX_DIGITS = frozenset(string.hexdigits)
+#: A \\ or \xNN escape (group 1), a backslash that starts neither, or a
+#: code point that is not one byte.
+_ESCAPE = re.compile(r"\\(\\|x[0-9A-Fa-f]{2})?|[^\x00-\xff]")
+
+#: How ``render_symbols`` shows each byte value: printable ASCII as itself,
+#: but the backslash doubled and '$', which shows a terminator, as \x24;
+#: every other byte as \xNN.  ``parse_pattern`` reads each form back.
+_SHOWN = tuple(
+    "\\\\" if b == 0x5C
+    else chr(b) if 0x20 <= b <= 0x7E and b != 0x24
+    else f"\\x{b:02x}"
+    for b in range(256)
+)
 
 
 class UsageError(Exception):
@@ -43,55 +56,37 @@ class UsageError(Exception):
 def parse_pattern(text: str) -> bytes:
     """Decode a command-line pattern, honouring \\xNN and \\\\ escapes.
 
-    Raises ValueError for malformed escapes or characters above U+00FF.
+    One ``_ESCAPE`` substitution replaces every escape by its byte.  Raises
+    ValueError for the first malformed escape or character above U+00FF.
     """
-    out = bytearray()
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if text[i + 1 : i + 2] == "\\":
-                out.append(0x5C)
-                i += 2
-                continue
-            digits = text[i + 2 : i + 4]
-            is_hex = len(digits) == 2 and set(digits) <= _HEX_DIGITS
-            if text[i + 1 : i + 2] == "x" and is_hex:
-                out.append(int(digits, 16))
-                i += 4
-                continue
-            # Each code point is one byte given; quote them as UTF-8.
-            window = text[i:i + 4].encode("latin-1", "backslashreplace")
-            window = window.decode("utf-8", "backslashreplace")
-            raise ValueError(f"bad escape at offset {i}: {window!r}")
-        code = ord(ch)
-        if code > 0xFF:
-            raise ValueError(f"character {ch!r} is not a single byte")
-        out.append(code)
-        i += 1
-    return bytes(out)
+
+    def unescape(token: re.Match) -> str:
+        escape = token.group(1)
+        if escape == "\\":
+            return "\\"
+        if escape:
+            return chr(int(escape[1:], 16))
+        if token.group() != "\\":
+            raise ValueError(f"character {token.group()!r} is not a single byte")
+        # Each code point is one byte given; quote them as UTF-8.
+        i = token.start()
+        window = text[i:i + 4].encode("latin-1", "backslashreplace")
+        window = window.decode("utf-8", "backslashreplace")
+        raise ValueError(f"bad escape at offset {i}: {window!r}")
+
+    return _ESCAPE.sub(unescape, text).encode("latin-1")
 
 
 def render_symbols(codes, byte_for_code) -> str:
-    """Printable form of a code sequence; terminators show as '$'."""
-    parts = []
-    for code in codes:
-        if code == 0:
-            parts.append("$")
-            continue
-        if code >= len(byte_for_code):
-            parts.append(f"#{code}")
-            continue
-        b = byte_for_code[code]
-        if b == 0x5C:
-            parts.append("\\\\")
-        elif b == 0x24:
-            parts.append("\\x24")
-        elif 0x20 <= b <= 0x7E:
-            parts.append(chr(b))
-        else:
-            parts.append(f"\\x{b:02x}")
-    return "".join(parts)
+    """Printable form of a code sequence, one ``_SHOWN`` entry per byte.
+
+    Terminators show as '$' and a code past the alphabet as ``#code``.
+    """
+    sigma = len(byte_for_code) - 1
+    return "".join(
+        "$" if c == 0 else f"#{c}" if c > sigma else _SHOWN[byte_for_code[c]]
+        for c in codes
+    )
 
 
 def _load_text_file(path: str) -> Text:
@@ -134,8 +129,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 def _save_atomically(ix: CpmIndex, output: str) -> None:
     """Save ``ix`` to ``output`` so that a failed save leaves it as it was.
 
-    The index goes to a temporary file in the same directory, which
-    replaces ``output`` only once complete and is removed on any failure.
+    The index goes to a new temporary file in the same directory, which
+    replaces ``output`` only once complete and is removed on any failure;
+    a temporary file that another build left behind is not touched.
     An existing target that is not a regular file, such as a device or a
     pipe, is written in place.
     """
@@ -145,10 +141,14 @@ def _save_atomically(ix: CpmIndex, output: str) -> None:
         return
     target = os.path.realpath(output)  # replace a link's target, not the link
     partial = f"{target}.{os.getpid()}.tmp"
-    try:
-        fh = open(partial, "xb")
-    except OSError as exc:  # name INDEX, not the temporary file
-        raise OSError(exc.errno, exc.strerror, output) from None
+    for attempt in itertools.count(1):
+        try:
+            fh = open(partial, "xb")
+            break
+        except FileExistsError:  # left by a killed build that had our pid
+            partial = f"{target}.{os.getpid()}.{attempt}.tmp"
+        except OSError as exc:  # name INDEX, not the temporary file
+            raise OSError(exc.errno, exc.strerror, output) from None
     try:
         with fh:
             save_index(ix, fh)

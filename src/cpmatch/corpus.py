@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,19 +24,25 @@ class Text:
     carry the terminator code 0 and every position in ``1..n-1`` carries a
     code in ``1..sigma``.  Codes are assigned to the distinct input bytes in
     increasing byte order, so comparing remapped strings is the same as
-    comparing the original byte strings.  Instances are never mutated after
-    construction.
+    comparing the original byte strings.  ``byte_for_code`` is the one
+    alphabet map: code ``c`` is the byte ``byte_for_code[c]``, and entry 0
+    is the terminator byte 0x00; ``encode_pattern`` goes the other way.
+    Instances are never mutated after construction.
     """
 
     symbols: bytes
     n: int
     sigma: int
-    code_for_byte: dict[int, int]
     byte_for_code: tuple[int, ...]
 
-    def decode(self, codes: Iterable[int]) -> bytes:
-        """Original bytes for a run of non-terminator symbol codes."""
-        return bytes(self.byte_for_code[c] for c in codes)
+
+def _code_table(alphabet: Sequence[int]) -> bytes:
+    """``bytes.translate`` table that sends byte ``alphabet[c - 1]`` to code ``c``.
+
+    ``alphabet`` holds distinct nonzero bytes in increasing order; a byte
+    outside it maps to itself.
+    """
+    return bytes.maketrans(bytes(alphabet), bytes(range(1, len(alphabet) + 1)))
 
 
 def load_text(raw: bytes) -> Text:
@@ -45,7 +51,8 @@ def load_text(raw: bytes) -> Text:
     One ``np.bincount`` over a zero-copy ``uint8`` view of ``raw`` gives
     both the alphabet and the 0x00 check; it counts through an 8-byte copy
     of each byte, the step's transient peak.  One ``bytes.translate``
-    then writes the codes.
+    through ``_code_table``, which ``encode_pattern`` shares, then writes
+    the codes.
     """
     if not raw:
         raise EmptyInputError("cannot index an empty input")
@@ -55,8 +62,8 @@ def load_text(raw: bytes) -> Text:
             "input contains the reserved terminator byte 0x00"
         )
     distinct = np.flatnonzero(counts).tolist()
-    table = bytes.maketrans(bytes(distinct), bytes(range(1, len(distinct) + 1)))
-    return make_text(b"\0" + raw.translate(table) + b"\0", distinct)
+    symbols = b"\0" + raw.translate(_code_table(distinct)) + b"\0"
+    return make_text(symbols, distinct)
 
 
 def make_text(symbols: bytes, alphabet: Sequence[int]) -> Text:
@@ -65,7 +72,6 @@ def make_text(symbols: bytes, alphabet: Sequence[int]) -> Text:
         symbols=symbols,
         n=len(symbols) - 1,
         sigma=len(alphabet),
-        code_for_byte={b: c for c, b in enumerate(alphabet, start=1)},
         byte_for_code=(SENTINEL_BYTE, *alphabet),
     )
 
@@ -89,14 +95,13 @@ def padded_symbol(t: Text, i: int) -> int:
 def encode_pattern(t: Text, raw: bytes) -> list[int] | None:
     """Translate pattern bytes into symbol codes.
 
-    Returns None when some byte is not part of the indexed alphabet; such a
-    pattern cannot occur in the text, so callers treat None as "no matches"
-    rather than an error.
+    Returns None when some byte is not part of the indexed alphabet, 0x00
+    included; such a pattern cannot occur in the text, so callers treat None
+    as "no matches" rather than an error.  Deleting the alphabet's bytes
+    from ``raw`` leaves exactly the absent ones; otherwise one translate
+    through ``load_text``'s table gives the codes.
     """
-    codes = []
-    for b in raw:
-        code = t.code_for_byte.get(b)
-        if code is None:
-            return None
-        codes.append(code)
-    return codes
+    alphabet = bytes(t.byte_for_code[1:])
+    if raw.translate(None, alphabet):
+        return None
+    return list(raw.translate(_code_table(alphabet)))

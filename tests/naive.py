@@ -14,9 +14,14 @@ number of rmq calls; it is the one reference that calls a structure under
 test, ``RmqStructure.rmq``, so that the calls can be counted alike.
 ``counted_partition_reference`` gives the same parts and count with no
 range minimum at all, fast enough for every range of a 300-entry array.
+``parse_pattern_loop``, ``render_symbols_loop`` and
+``encode_pattern_dict`` are the earlier pattern and context text
+conversions, one symbol at a time, kept to pin the table-driven ones down
+to their error messages.
 """
 
 import random
+import string
 
 import numpy as np
 
@@ -320,3 +325,65 @@ def sample_codes(rng: random.Random, t: Text, max_len: int = 8) -> list[int]:
     return [
         rng.randint(1, t.sigma + 1) for _ in range(rng.randint(1, 4))
     ]
+
+
+def parse_pattern_loop(text: str) -> bytes:
+    """Decode \\xNN and \\\\ escapes, one code point at a time."""
+    out = bytearray()
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\":
+            if text[i + 1 : i + 2] == "\\":
+                out.append(0x5C)
+                i += 2
+                continue
+            digits = text[i + 2 : i + 4]
+            is_hex = len(digits) == 2 and set(digits) <= set(string.hexdigits)
+            if text[i + 1 : i + 2] == "x" and is_hex:
+                out.append(int(digits, 16))
+                i += 4
+                continue
+            window = text[i:i + 4].encode("latin-1", "backslashreplace")
+            window = window.decode("utf-8", "backslashreplace")
+            raise ValueError(f"bad escape at offset {i}: {window!r}")
+        code = ord(ch)
+        if code > 0xFF:
+            raise ValueError(f"character {ch!r} is not a single byte")
+        out.append(code)
+        i += 1
+    return bytes(out)
+
+
+def render_symbols_loop(codes, byte_for_code) -> str:
+    """Printable form of a code sequence, one branch chain per code."""
+    parts = []
+    for code in codes:
+        if code == 0:
+            parts.append("$")
+            continue
+        if code >= len(byte_for_code):
+            parts.append(f"#{code}")
+            continue
+        b = byte_for_code[code]
+        if b == 0x5C:
+            parts.append("\\\\")
+        elif b == 0x24:
+            parts.append("\\x24")
+        elif 0x20 <= b <= 0x7E:
+            parts.append(chr(b))
+        else:
+            parts.append(f"\\x{b:02x}")
+    return "".join(parts)
+
+
+def encode_pattern_dict(t: Text, raw: bytes) -> list[int] | None:
+    """Codes of ``raw`` looked up one byte at a time; None if one is absent."""
+    code_for_byte = {b: c for c, b in enumerate(t.byte_for_code[1:], start=1)}
+    codes = []
+    for b in raw:
+        code = code_for_byte.get(b)
+        if code is None:
+            return None
+        codes.append(code)
+    return codes

@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -9,10 +10,12 @@ import threading
 import pytest
 
 from cpmatch import cli
-from cpmatch.corpus import load_text
+from cpmatch.corpus import encode_pattern, load_text
+from cpmatch.persistence import load_index
 from cpmatch.suffixes import compute_bwt_runs
 
 import alabar_data
+import naive
 
 
 @pytest.fixture()
@@ -50,6 +53,60 @@ def test_render_symbols_round_trip():
     assert rendered == "a" + "\\\\" + "\\x24" + "\\x01" + "$"
 
 
+def outcome(convert, *args):
+    """What ``convert(*args)`` returns, or the text of its ValueError."""
+    try:
+        return convert(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_parse_pattern_matches_the_loop():
+    # Well-formed and malformed escapes, a lone backslash, code points
+    # above U+00FF and plain bytes, in seeded mixes.
+    tokens = ["\\", "\\\\", "\\x4", "\\x41", "\\xg1", "\\X41", "\\xff",
+              "é", "Ā", "a", "x", "4", "f", "\x00", "\xff"]
+    rng = random.Random(19)
+    for _ in range(20_000):
+        parts = rng.choices(tokens, k=rng.randint(0, 8))
+        parts += [chr(rng.randrange(256)) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(parts)
+        text = "".join(parts)
+        assert outcome(cli.parse_pattern, text) == outcome(naive.parse_pattern_loop, text)
+
+
+def test_render_symbols_matches_the_loop():
+    # Alphabets of every size, with terminators and codes past the alphabet.
+    rng = random.Random(20)
+    for size in range(1, 256):
+        byte_for_code = (0, *sorted(rng.sample(range(1, 256), size)))
+        for _ in range(20):
+            codes = [rng.randint(0, size + 2) for _ in range(rng.randint(0, 16))]
+            assert cli.render_symbols(codes, byte_for_code) == (
+                naive.render_symbols_loop(codes, byte_for_code)
+            )
+
+
+def test_rendered_bytes_parse_back():
+    raw = bytes(range(1, 256))
+    t = load_text(raw)
+    for b in raw:
+        codes = encode_pattern(t, bytes([b]))
+        assert cli.parse_pattern(cli.render_symbols(codes, t.byte_for_code)) == bytes([b])
+    rendered = cli.render_symbols(t.symbols[1:t.n], t.byte_for_code)
+    assert cli.parse_pattern(rendered) == raw
+
+
+def test_import_leaves_cli_unloaded():
+    # The library, and the benchmark that imports it, never run CLI code.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cpmatch; assert 'cpmatch.cli' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_build_output_line(alabar_files, capsys, alabar_index):
     text, idx = alabar_files
     capsys.readouterr()
@@ -78,6 +135,25 @@ def test_failed_build_leaves_old_index(alabar_files, capsys, monkeypatch):
     assert "No space left on device" in capsys.readouterr().err
     assert idx.read_bytes() == good
     assert sorted(idx.parent.iterdir()) == listing
+
+
+def test_stale_temporary_file_does_not_block_build(alabar_files):
+    # A killed build leaves INDEX.<pid>.tmp, and a later build can get the
+    # same pid; it must write the index and leave that file alone.
+    text, idx = alabar_files
+    good = idx.read_bytes()
+    idx.unlink()
+    stale = f"{os.path.realpath(idx)}.{os.getpid()}.tmp"
+    with open(stale, "wb") as fh:
+        fh.write(b"CPMX from a killed build")
+    listing = sorted(idx.parent.iterdir())
+    assert cli.main(["build", str(text), "-o", str(idx)]) == 0
+    assert idx.read_bytes() == good
+    with open(idx, "rb") as fh:
+        assert load_index(fh).text.n == 17
+    with open(stale, "rb") as fh:
+        assert fh.read() == b"CPMX from a killed build"
+    assert sorted(idx.parent.iterdir()) == sorted([*listing, idx])
 
 
 def test_build_writes_through_links_and_pipes(alabar_files, tmp_path):

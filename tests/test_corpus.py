@@ -12,6 +12,7 @@ from cpmatch.corpus import (
 from cpmatch.errors import EmptyInputError, SentinelByteError
 
 import alabar_data
+import naive
 
 
 def test_load_alabar_shape(alabar_text):
@@ -20,7 +21,8 @@ def test_load_alabar_shape(alabar_text):
     assert t.sigma == 5
     assert t.symbols[0] == SENTINEL
     assert t.symbols[17] == SENTINEL
-    assert t.decode(t.symbols[1:17]) == alabar_data.RAW
+    assert t.byte_for_code == (0, *b"abdlr")
+    assert encode_pattern(t, alabar_data.RAW) == list(t.symbols[1:17])
 
 
 def test_load_single_byte():
@@ -32,7 +34,8 @@ def test_load_single_byte():
 def test_codes_preserve_byte_order():
     t = load_text(b"ba")
     assert t.sigma == 2
-    assert t.code_for_byte == {ord("a"): 1, ord("b"): 2}
+    assert t.byte_for_code == (0, ord("a"), ord("b"))
+    assert encode_pattern(t, b"ab") == [1, 2]
     assert t.symbols == bytes([0, 2, 1, 0])
 
 
@@ -65,14 +68,16 @@ def test_load_matches_the_sorted_set_remap():
         assert t.symbols == b"\0" + raw.translate(codes) + b"\0"
         assert t.sigma == len(distinct)
         assert t.byte_for_code == (0, *distinct)
-        assert t.code_for_byte == {b: c for c, b in enumerate(distinct, 1)}
+        assert encode_pattern(t, bytes(distinct)) == list(range(1, len(distinct) + 1))
+        assert encode_pattern(t, raw) == list(t.symbols[1:t.n])
 
 
 def test_reverse_spelling(alabar_text):
     rev = reverse_text(alabar_text)
     assert rev.symbols == alabar_text.symbols[::-1]
     assert rev.symbols[0] == SENTINEL and rev.symbols[rev.n] == SENTINEL
-    assert rev.decode(rev.symbols[1:rev.n]) == alabar_data.RAW[::-1]
+    assert rev.byte_for_code == alabar_text.byte_for_code
+    assert encode_pattern(rev, alabar_data.RAW[::-1]) == list(rev.symbols[1:rev.n])
 
 
 def test_reverse_is_involution(alabar_text):
@@ -97,6 +102,20 @@ def test_encode_pattern(alabar_text):
     assert encode_pattern(alabar_text, b"bar") == [2, 1, 5]
     assert encode_pattern(alabar_text, b"zz") is None
     assert encode_pattern(alabar_text, b"") == []
+
+
+def test_encode_pattern_matches_the_dict():
+    # Alphabets of every size, with patterns drawn from the alphabet, 0x00
+    # and the bytes it lacks.
+    rng = random.Random(101)
+    for size in range(1, 256):
+        alphabet = rng.sample(range(1, 256), size)
+        t = load_text(bytes(alphabet))
+        absent = sorted(set(range(256)) - set(alphabet))
+        for _ in range(40):
+            pool = alphabet if rng.random() < 0.5 else alphabet + absent
+            raw = bytes(rng.choices(pool, k=rng.randint(0, 12)))
+            assert encode_pattern(t, raw) == naive.encode_pattern_dict(t, raw)
 
 
 def test_remap_preserves_substring_order():

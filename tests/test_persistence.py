@@ -431,6 +431,10 @@ def test_swapped_symbol_buckets_caught_by_verify():
         swap_ranks_consistently(broken, blob, reverse, 1, 2)
         with pytest.raises(CorruptSectionError, match="out of order"):
             load_index(io.BytesIO(bytes(broken)))
+        # The order check runs after every section check, so a byte past
+        # the last section is the fault reported.
+        with pytest.raises(CorruptSectionError, match="after the last section"):
+            load_index(io.BytesIO(bytes(broken) + b"\x00"), verify=True)
 
 
 def test_range_minima_only_at_bwt_run_boundaries(monkeypatch):
