@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,23 +26,30 @@ class Text:
     increasing byte order, so comparing remapped strings is the same as
     comparing the original byte strings.  ``byte_for_code`` is the one
     alphabet map: code ``c`` is the byte ``byte_for_code[c]``, and entry 0
-    is the terminator byte 0x00; ``encode_pattern`` goes the other way.
-    Instances are never mutated after construction.
+    is the terminator byte 0x00.  ``encode_pattern`` goes the other way,
+    through the ``bytes.translate`` table derived from it when the text is
+    made.  Instances are never mutated after construction.
     """
 
     symbols: bytes
     n: int
     sigma: int
     byte_for_code: tuple[int, ...]
+    _to_codes: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_to_codes", _code_table(self.byte_for_code[1:]))
 
 
 def _code_table(alphabet: Sequence[int]) -> bytes:
     """``bytes.translate`` table that sends byte ``alphabet[c - 1]`` to code ``c``.
 
-    ``alphabet`` holds distinct nonzero bytes in increasing order; a byte
-    outside it maps to itself.
+    ``alphabet`` holds distinct nonzero bytes; every byte outside it, 0x00
+    included, maps to the terminator code 0.
     """
-    return bytes.maketrans(bytes(alphabet), bytes(range(1, len(alphabet) + 1)))
+    table = np.zeros(256, dtype=np.uint8)
+    table[np.asarray(alphabet, dtype=np.intp)] = np.arange(1, len(alphabet) + 1)
+    return table.tobytes()
 
 
 def load_text(raw: bytes) -> Text:
@@ -51,8 +58,8 @@ def load_text(raw: bytes) -> Text:
     One ``np.bincount`` over a zero-copy ``uint8`` view of ``raw`` gives
     both the alphabet and the 0x00 check; it counts through an 8-byte copy
     of each byte, the step's transient peak.  One ``bytes.translate``
-    through ``_code_table``, which ``encode_pattern`` shares, then writes
-    the codes.
+    through ``_code_table``, the table the text keeps for
+    ``encode_pattern``, then writes the codes.
     """
     if not raw:
         raise EmptyInputError("cannot index an empty input")
@@ -97,11 +104,11 @@ def encode_pattern(t: Text, raw: bytes) -> list[int] | None:
 
     Returns None when some byte is not part of the indexed alphabet, 0x00
     included; such a pattern cannot occur in the text, so callers treat None
-    as "no matches" rather than an error.  Deleting the alphabet's bytes
-    from ``raw`` leaves exactly the absent ones; otherwise one translate
-    through ``load_text``'s table gives the codes.
+    as "no matches" rather than an error.  One translate through the
+    text's ``_code_table`` gives the codes, and an absent byte becomes the
+    terminator code, which no pattern symbol can have.
     """
-    alphabet = bytes(t.byte_for_code[1:])
-    if raw.translate(None, alphabet):
+    codes = raw.translate(t._to_codes)
+    if SENTINEL in codes:
         return None
-    return list(raw.translate(_code_table(alphabet)))
+    return list(codes)

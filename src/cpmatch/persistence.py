@@ -27,6 +27,14 @@ the header goes first and the sections follow one at a time, in file
 order, and neither side ever seeks.  At most one section's u64 bytes are
 held at a time.  Load checks each section as it arrives, so of two faults
 the first in file order is the one reported.
+
+Verified load then checks each suffix array's order and each LCP array in
+O(n) array work, with no suffix compared symbol by symbol: rank-adjacent
+suffixes either differ in their first symbol or keep their order one
+position on, and the LCP of a pair follows one LCP entry when the pair
+stays adjacent one position on.  The other pairs sit at BWT-run
+boundaries; one compare of their first 8 symbols settles those that share
+fewer, and range minima run only for the rest.
 """
 
 from __future__ import annotations
@@ -54,9 +62,10 @@ _SECTION_COUNT = 8
 _HEADER_SIZE = 4 + 4 + 8 + 8 + _SECTION_COUNT * 16
 _UNDEF_ON_DISK = (1 << 64) - 1
 
-#: Ranks per vectorised step of the load-time order and LCP checks; the
-#: held run-boundary pairs get one range-minimum call per half as many.
-_VERIFY_BLOCK = 1 << 15
+#: Ranks per vectorised step of the load-time order and LCP checks, whose
+#: temporaries take up to about 60 bytes per rank; the held deep
+#: run-boundary pairs get one range-minimum call per half as many.
+_VERIFY_BLOCK = 1 << 14
 
 #: Largest single read, so that memory grows only with the bytes present.
 _READ_PIECE = 1 << 24
@@ -128,9 +137,9 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     build does and requires the stored copies to equal them, and rejects
     bytes past the last section.  ``verify`` (the default) adds the O(n)
     order and LCP checks of :func:`_check_ensemble`: one gather of ``psi``
-    per rank, and range minima only for the r - sigma - 1 pairs per
-    direction at BWT-run boundaries.  Violations raise
-    :class:`CorruptSectionError`.
+    per rank, one 8-symbol window compare per pair at a BWT-run boundary,
+    and range minima only for the boundary pairs whose suffixes share 8
+    symbols or more.  Violations raise :class:`CorruptSectionError`.
 
     Sections are read, checked and packed one at a time in file order, and
     each one's u64 bytes are dropped once used, so at most one section's
@@ -235,10 +244,17 @@ def _check_ensemble(
     ``psi(r) = psi(r - 1) + 1`` the minimum is ``lcp[psi(r)]`` alone.  The
     other pairs with equal first symbols are the r - sigma - 1 at BWT-run
     boundaries (the irreducible LCPs of Kaerkkaeinen, Manzini & Puglisi,
-    CPM 2009).  They are held, and checked together by one
-    ``range_minima`` call per ``_VERIFY_BLOCK // 2`` of them.  Held pairs
-    are checked before a later block's fault is raised, so faults are
-    reported as if each block were checked in full before the next.
+    CPM 2009).  Most of them are shallow: XOR of the two suffixes' 8-symbol
+    windows (:func:`_windows`) is nonzero, and its count of trailing zero
+    bytes is their LCP, below 8.  Pinning some entries to their true LCP
+    keeps the answer unique: by induction on k, every entry whose true
+    LCP is below k is right, and no other entry is below k.  Padding never
+    fakes equality, for two distinct suffixes differ at or before the
+    first terminator, code 0 at n.  Only the deep pairs, whose windows are
+    equal, are held, and checked together by one ``range_minima`` call per
+    ``_VERIFY_BLOCK // 2`` of them.  Held pairs are checked before a later
+    block's fault is raised, so faults are reported as if each block were
+    checked in full before the next.
     """
     sa = np.asarray(e.sa)
     isa = np.asarray(isa)
@@ -246,35 +262,86 @@ def _check_ensemble(
     lcp = np.asarray(rmq.array)
     if lcp[1] != 0:
         raise CorruptSectionError(_BAD_LCP)
+    codes = np.ascontiguousarray(codes)
+    windows = _windows(codes)
     held: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     held_count = 0
-    # Blocks of ranks keep the temporaries small whatever n is.
     for lo in range(1, n, _VERIFY_BLOCK):
         hi = min(lo + _VERIFY_BLOCK, n)
-        suffixes = sa[lo:hi + 1]
-        first = codes[suffixes]
-        # Suffix n has no successor; its clipped read is never used.
-        psi = isa.take(suffixes + 1, mode="clip")
-        same = first[:-1] == first[1:]
-        step = np.diff(psi)
-        if (first[:-1] > first[1:]).any() or (same & (step <= 0)).any():
+        try:
+            deep = _check_block(lo, sa[lo:hi + 1], isa, lcp, codes, windows)
+        except CorruptSectionError:
             _check_held(held, rmq)
-            raise CorruptSectionError("suffix array ranks out of order")
-        observed = lcp[lo + 1:hi + 1]
-        expected = lcp[psi[1:]] + 1
-        expected *= same
-        boundary = np.flatnonzero(same & (step != 1))
-        expected[boundary] = observed[boundary]
-        if (observed != expected).any():
-            _check_held(held, rmq)
-            raise CorruptSectionError(_BAD_LCP)
-        if boundary.size:
-            held.append((boundary + (lo + 1), psi[boundary] + 1, psi[boundary + 1]))
-            held_count += boundary.size
+            raise
+        if deep[0].size:
+            held.append(deep)
+            held_count += deep[0].size
         if held_count >= _VERIFY_BLOCK // 2:
             _check_held(held, rmq)
             held_count = 0
     _check_held(held, rmq)
+
+
+def _check_block(
+    lo: int,
+    suffixes: np.ndarray,
+    isa: np.ndarray,
+    lcp: np.ndarray,
+    codes: np.ndarray,
+    windows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check the pairs of ranks ``lo .. lo + len(suffixes) - 1``, ``sa[lo:]``.
+
+    Raises at a fault of order or of LCP; returns the deep pairs as
+    ``(ranks, starts, ends)`` for :func:`_check_held`.  Blocks of ranks
+    keep the temporaries small whatever n is, and they die at return.
+    ``take`` gathers through the packed ranks and positions as they are,
+    where indexing with ``[]`` would first convert 4-byte ones, at about
+    twice the cost.
+    """
+    first = codes.take(suffixes)
+    # Suffix n has no successor; its clipped read is never used.
+    psi = isa.take(suffixes + 1, mode="clip")
+    same = first[:-1] == first[1:]
+    step = np.diff(psi)
+    if (first[:-1] > first[1:]).any() or (same & (step <= 0)).any():
+        raise CorruptSectionError("suffix array ranks out of order")
+    expected = lcp.take(psi[1:])
+    expected += 1
+    expected *= same
+    boundary = np.flatnonzero(same & (step != 1))
+    shared = _shared_bytes(
+        windows.take(suffixes.take(boundary)) ^ windows.take(suffixes.take(boundary + 1))
+    )
+    expected[boundary] = shared
+    deep = boundary[shared < 0]
+    observed = lcp[lo + 1:lo + len(suffixes)]
+    expected[deep] = observed[deep]
+    if (observed != expected).any():
+        raise CorruptSectionError(_BAD_LCP)
+    return deep + (lo + 1), psi[deep] + 1, psi[deep + 1]
+
+
+def _windows(codes: np.ndarray) -> np.ndarray:
+    """Element ``p`` holds ``codes[p:p + 8]`` as one u64, code ``p`` lowest.
+
+    Positions past the end read as 0.  An explicit little-endian unsigned
+    view puts code ``p`` in the low byte on any host, with no sign to
+    extend.  Gathers from an aligned copy run about 5x faster than from
+    the stride-1 view itself, for 8 bytes per code while the check runs.
+    """
+    padded = np.zeros(len(codes) + 7, dtype=np.uint8)
+    padded[:len(codes)] = codes
+    return np.ndarray(len(codes), dtype="<u8", buffer=padded, strides=(1,)).copy()
+
+
+def _shared_bytes(x: np.ndarray) -> np.ndarray:
+    """Trailing zero bytes of each u64 in ``x``, or -1 where it is 0.
+
+    ``x & -x`` keeps the lowest set bit, a power of two that ``np.frexp``
+    takes exactly: its exponent is the bit's index plus one.
+    """
+    return (np.frexp(x & -x)[1] - 1) >> 3
 
 
 def _check_held(
@@ -283,11 +350,13 @@ def _check_held(
     """Check held run-boundary pairs ``(ranks, starts, ends)``, then drop them.
 
     Each ``rmq.array[rank]`` must be one more than the minimum over
-    ``starts..ends``; one ``range_minima`` call answers them all.
+    ``starts..ends``; one ``range_minima`` call answers them all.  Its
+    gathers run about a quarter faster through intp positions, which they
+    need not convert first.
     """
     if not held:
         return
-    ranks, starts, ends = (np.concatenate(part) for part in zip(*held))
+    ranks, starts, ends = (np.concatenate(part, dtype=np.intp) for part in zip(*held))
     held.clear()
     if (np.asarray(rmq.array)[ranks] != rmq.range_minima(starts, ends) + 1).any():
         raise CorruptSectionError(_BAD_LCP)

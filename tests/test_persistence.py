@@ -437,12 +437,36 @@ def test_swapped_symbol_buckets_caught_by_verify():
             load_index(io.BytesIO(bytes(broken) + b"\x00"), verify=True)
 
 
+def pair_kinds(e, isa) -> dict[str, list[int]]:
+    """Each rank r >= 2 whose suffix shares its first symbol with rank r - 1's.
+
+    The pair is ``adjacent`` when psi(r) = psi(r - 1) + 1, psi(r) being
+    the rank of sa[r] + 1.  The others sit at BWT-run boundaries: ``deep``
+    when the stored LCP is 8 or more, else ``shallow``.
+    """
+    symbols, sa, lcp = e.text.symbols, e.sa, e.lcp
+    kinds = {"adjacent": [], "shallow": [], "deep": []}
+    for r in range(2, len(sa)):
+        if symbols[sa[r]] != symbols[sa[r - 1]]:
+            continue
+        if isa[sa[r] + 1] == isa[sa[r - 1] + 1] + 1:
+            kinds["adjacent"].append(r)
+        else:
+            kinds["shallow" if lcp[r] < 8 else "deep"].append(r)
+    return kinds
+
+
+def both_directions(ix):
+    """``(ensemble, inverse, lcp section)`` of the forward and reverse arrays."""
+    return ((ix.fwd, ix.isa, 4), (ix.rev, build_inverse(ix.rev.sa), 6))
+
+
 def test_range_minima_only_at_bwt_run_boundaries(monkeypatch):
     # A verified load needs a range minimum only for the rank pairs at
-    # BWT-run boundaries, r - sigma - 1 per direction; every other pair
-    # reads one LCP entry.
-    ix = build_index(load_text(generate_repetitive(2000, 9, 0.01, 1)))
-    blob = save_bytes(ix)
+    # BWT-run boundaries, r - sigma - 1 per direction, whose suffixes share
+    # 8 symbols or more: the shallower ones are read from their 8-symbol
+    # windows, and every other pair reads one LCP entry.  No two suffixes
+    # of a random text over 26 letters share 8 symbols.
     ranges = []
     range_minima = RmqStructure.range_minima
 
@@ -451,41 +475,70 @@ def test_range_minima_only_at_bwt_run_boundaries(monkeypatch):
         return range_minima(self, lo, hi)
 
     monkeypatch.setattr(RmqStructure, "range_minima", counted)
-    load_index(io.BytesIO(blob))
-    sigma = ix.text.sigma
-    r, r_rev = compute_bwt_runs(ix.fwd), compute_bwt_runs(ix.rev)
-    assert sum(ranges) == (r - sigma - 1) + (r_rev - sigma - 1)
+    deep_counts = []
+    for raw in (generate_repetitive(2000, 9, 0.01, 1),
+                generate_repetitive(20_000, 0, 0.0, 1, sigma=26)):
+        ix = build_index(load_text(raw))
+        blob = save_bytes(ix)
+        ranges.clear()
+        load_index(io.BytesIO(blob))
+        boundary = deep = 0
+        for e, isa, _ in both_directions(ix):
+            kinds = pair_kinds(e, isa)
+            boundary += len(kinds["shallow"]) + len(kinds["deep"])
+            deep += len(kinds["deep"])
+        sigma = ix.text.sigma
+        r, r_rev = compute_bwt_runs(ix.fwd), compute_bwt_runs(ix.rev)
+        assert boundary == (r - sigma - 1) + (r_rev - sigma - 1)
+        assert sum(ranges) == deep
+        deep_counts.append(deep)
+    assert deep_counts[0] > 0 and deep_counts[1] == 0
+
+
+def random_255(seed: int, size: int, copies: int, rate: float) -> bytes:
+    """A random base over bytes 1..255, then mutated copies of it."""
+    rng = random.Random(seed)
+    base = bytes(rng.choices(range(1, 256), k=size))
+    return base + b"".join(
+        bytes(rng.randrange(1, 256) if rng.random() < rate else b for b in base)
+        for _ in range(copies)
+    )
 
 
 def test_lcp_edits_caught_at_both_kinds_of_pair(monkeypatch):
-    # An LCP at a psi-adjacent pair is checked in its own block; one at a
-    # run-boundary pair is held for a later range-minimum call.  Both
-    # must be caught.
-    block = 16
-    monkeypatch.setattr(persistence, "_VERIFY_BLOCK", block)
-    ix = build_index(load_text(generate_repetitive(200, 3, 0.05, 1)))
-    blob = save_bytes(ix)
-    # Each rank r >= 2 whose suffix shares its first symbol with rank
-    # r - 1's, and whether psi(r) = psi(r - 1) + 1, psi(r) being the rank
-    # of sa[r] + 1.
-    symbols, sa, isa = ix.text.symbols, ix.fwd.sa, ix.isa
-    pairs = [
-        (r, isa[sa[r] + 1] == isa[sa[r - 1] + 1] + 1)
-        for r in range(2, ix.text.n + 1)
-        if symbols[sa[r]] == symbols[sa[r - 1]]
-    ]
-    adjacent = next(r for r, step in pairs if step)
-    boundary = next(
-        r for r, step in pairs if not step and (r - 2) // block > (adjacent - 2) // block
-    )
-    off, _ = section_extent(blob, 4)  # fwd_lcp, rank r at slot r - 1
-    n = ix.text.n
-    for r in (adjacent, boundary):
-        old = ix.fwd.lcp[r]
-        broken = bytearray(blob)
-        struct.pack_into("<Q", broken, off + 8 * (r - 1), old + 1 if old < n - 1 else old - 1)
-        with pytest.raises(CorruptSectionError, match="LCP array inconsistent"):
-            load_index(io.BytesIO(bytes(broken)))
+    # A pair's LCP is checked one of three ways: a psi-adjacent pair's
+    # against one LCP entry in its own block, a shallow run-boundary
+    # pair's against its two 8-symbol windows, and a deep one's by a
+    # range-minimum call after later blocks.  A +1 or -1 edit at each kind,
+    # in either direction, must be caught.  One shallow pair has a window
+    # that runs past n; on the text over 255 byte values, another has codes
+    # of 0x80 and above in its windows.
+    monkeypatch.setattr(persistence, "_VERIFY_BLOCK", 16)
+    for raw in (generate_repetitive(200, 3, 0.05, 1), random_255(1, 1000, 3, 0.05)):
+        ix = build_index(load_text(raw))
+        blob = save_bytes(ix)
+        n = ix.text.n
+        for e, isa, section in both_directions(ix):
+            kinds = pair_kinds(e, isa)
+            shallow = kinds["shallow"]
+            picks = [
+                kinds["adjacent"][0],
+                kinds["deep"][0],
+                shallow[0],
+                next(r for r in shallow if max(e.sa[r - 1], e.sa[r]) + 7 > n),
+            ]
+            if ix.text.sigma >= 0x80:
+                picks.append(next(r for r in shallow if e.text.symbols[e.sa[r]] >= 0x80))
+            off, _ = section_extent(blob, section)  # rank r at slot r - 1
+            for r in picks:
+                old = e.lcp[r]
+                for new in (old - 1, old + 1):
+                    if not 0 <= new <= n - 1:
+                        continue
+                    broken = bytearray(blob)
+                    struct.pack_into("<Q", broken, off + 8 * (r - 1), new)
+                    with pytest.raises(CorruptSectionError, match="LCP array inconsistent"):
+                        load_index(io.BytesIO(bytes(broken)))
 
 
 def test_fuzzed_saves_fail_cleanly_or_answer_right():
