@@ -143,7 +143,8 @@ def translate_ranks(isa: array, rev_sa: array) -> array:
     C_UNDEFINED.
     """
     n = len(isa) - 1
-    c_array = np.asarray(isa)[n - np.asarray(rev_sa)]
+    # ``take`` would first copy 4-byte indices to intp; make them so.
+    c_array = np.asarray(isa).take(np.subtract(n, rev_sa, dtype=np.intp))
     c_array[0] = C_UNDEFINED
     return pack(c_array, n)
 

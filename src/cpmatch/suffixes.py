@@ -5,19 +5,17 @@ start positions ``1..n`` of a remapped text; the suffix of the leading
 terminator at position 0 is deliberately excluded.  Each is a packed
 ``array('i')`` (``'q'`` when n >= 2**31) made by :func:`~cpmatch.rmq.pack`.
 
-The builders are whole-array numpy passes: one prefix-doubling pass that
-re-sorts only unresolved suffixes and keeps each round's prefix classes, an
-LCP array read off those classes, and one scatter for the inverse.  The
-first sort's keys are packed by doubling their width, in about log2 k0
-passes; each round finds its group starts by a running maximum and
-selects its tied suffixes through one index.  An adjacent pair whose
-first-sort keys differ takes its LCP from their XOR; only the other pairs
-descend the classes.  The kept classes are transient: 4n bytes per kept
-round plus the 8n-byte key of the first sort, freed as the descent uses
-them.  One direction's build peaks at about 54 bytes of heap per text byte
-on repetitive text and 29 on random text (n = 2**16).  The builders read
-their input arrays through ``np.asarray``, a zero-copy view of a packed
-array, and pack their result once.
+The builders are whole-array numpy passes.  One in-place sort of packed
+words orders the suffixes by their first few symbols, and prefix doubling
+re-sorts only the suffixes still tied.  The XOR of adjacent sorted keys
+gives every LCP below the key width; of the deeper pairs, only those at
+BWT-run boundaries are compared symbol by symbol, and one running maximum
+in text order fills in the rest (the Phi method).  One scatter gives the
+inverse.  One direction's build peaks at about 39 bytes of heap per text
+byte on repetitive text, in its first doubling round, and at 19 on random
+text (n = 2**16).  The builders read their input arrays through
+``np.asarray``, a zero-copy view of a packed array, and pack their result
+once.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import SENTINEL, Text
 from .errors import EmptyPatternError, SentinelInPatternError
@@ -57,6 +56,11 @@ def _key_width(t: Text) -> tuple[int, int]:
     return bits, min(63 // bits, t.n)
 
 
+def _sort_width(t: Text) -> int:
+    """Symbols per first-sort key: those that fit in 63 bits beside a position."""
+    return min((63 - t.n.bit_length()) // t.sigma.bit_length(), t.n)
+
+
 def _bit_length(x: np.ndarray) -> np.ndarray:
     """``int.bit_length`` of each non-negative int64, exact up to 2**63.
 
@@ -84,11 +88,12 @@ def _packed_keys(t: Text) -> np.ndarray:
     bits, k0 = _key_width(t)
     codes = _codes(t)
     key = codes.astype(np.int64)
+    spare = np.empty_like(key)
     width = 1
     for bit in bin(k0)[3:]:
-        doubled = key << (bits * width)
-        doubled[:-width] |= key[width:]
-        key = doubled
+        np.left_shift(key, bits * width, out=spare)
+        spare[:-width] |= key[width:]
+        key, spare = spare, key
         width *= 2
         if bit == "1":
             key <<= bits
@@ -98,90 +103,96 @@ def _packed_keys(t: Text) -> np.ndarray:
     return key
 
 
-def build_suffix_array(t: Text) -> tuple[array, list[np.ndarray]]:
-    """Start positions ``1..n`` sorted by suffix, and the rounds' classes.
+def build_suffix_array(t: Text) -> tuple[array, np.ndarray]:
+    """Start positions ``1..n`` sorted by suffix, and the first sort's LCPs.
 
-    The first sort orders the suffixes by their first ``k0`` symbols,
-    packed into one 63-bit key (``k0`` = 21 for four symbols, 7 for 255),
-    with terminators past the text end.  The suffixes sharing a prefix fill
-    a run of slots, their group, and a suffix's rank is its group's first
-    slot.  Each round then re-sorts only the suffixes in groups of two or
-    more, by (rank, rank ``k`` positions on), splits those groups and
-    doubles ``k`` (Larsson & Sadakane, TCS 2007); a suffix alone in its
-    group is never touched again.  The trailing terminator is the unique
-    smallest symbol, so all suffixes are distinct, a tied suffix never
-    reaches the text end within ``k`` symbols, and the rounds end once
-    ``k`` exceeds the longest common prefix ``L``.  Work is O(n log n) for
-    the first sort plus O(u log u) per round for its ``u`` unresolved
-    suffixes: O(n log n log(L / k0)) at worst (one repeated symbol), far
-    less when most suffixes resolve early.
+    The first sort orders the suffixes by their first ``ks`` symbols
+    (:func:`_sort_width`: 15 for four symbols at n = 2·10^5), with
+    terminators past the text end.  Each position's word is its packed key
+    (:func:`_packed_keys`) cut to ``ks`` symbols, with the position in the
+    low ``n.bit_length()`` bits; sorting that one int64 array in place
+    gives the first order in its low bits and the sorted keys in its high
+    bits, with no order array and no gather.  The XOR of adjacent sorted
+    keys gives each rank pair's common prefix capped at ``ks``, the second
+    value returned: ``shallow[i]`` for ranks ``i - 1`` and ``i``, one byte
+    each, exact below ``ks``.  :func:`build_lcp` completes it.
 
-    One prefix-doubling pass gives both: the round classes are the LCP
-    levels that :func:`build_lcp` descends (Manber & Myers, SICOMP 1993),
-    so no second pass recomputes them.
-    ``levels[0]`` is the first sort's int64 key of every position ``1..n``;
-    ``levels[j]`` is the rank array right after round ``j``: the class of
-    every position's ``k0 * 2**j``-symbol prefix, equal exactly when the
-    prefixes are.  The last round's all-distinct ranks are not kept.
+    The suffixes sharing a prefix fill a run of slots, their group, and a
+    suffix's rank is its group's first slot.  Each round then re-sorts only
+    the suffixes in groups of two or more, by (rank, rank ``k`` positions
+    on), splits those groups and doubles ``k`` (Larsson & Sadakane, TCS
+    2007); a suffix alone in its group is never touched again.  The
+    trailing terminator is the unique smallest symbol, so all suffixes are
+    distinct, a tied suffix never reaches the text end within ``k``
+    symbols, and the rounds end once ``k`` exceeds the longest common
+    prefix ``L``.  Work is O(n log n) for the first sort plus O(u log u) per
+    round for its ``u`` unresolved suffixes: O(n log n log(L / ks)) at
+    worst (one repeated symbol), far less when most suffixes resolve early.
 
-    Passes: the packing takes about log2 k0 shift-or passes (see
-    :func:`_packed_keys`).  A round compares neighbouring keys once for its
-    group heads, finds their starts as ``slots * head`` and one running
-    maximum, then selects its tied slots, positions and starts through one
-    index and builds the next keys in one int64 array.  Transient memory is
-    about 16 bytes per suffix in the first sort (its int64 order and the
-    sorted keys) and about 32 per unresolved suffix in a round (keys, their
-    order and sorted copy, slots and positions), beside the 4-byte rank
-    and slot arrays; the returned levels take the 8n-byte key plus 4n bytes
-    per kept round.
+    Passes: the packing takes about log2 k0 shift-or passes, and the words
+    two shifts and an OR.  A round finds its group starts as
+    ``slots * head`` and one running maximum, selects its tied slots,
+    positions and starts through one index, builds the next keys in one
+    int64 array, and compares neighbouring keys once for the next heads.
+    Transient memory is the 8n-byte words in the first sort and about 32
+    bytes per unresolved suffix in a round (keys, their order and sorted
+    copy, slots and positions), beside the 4-byte rank, slot and suffix
+    arrays and the 1-byte shallow LCPs.
     """
     n = t.n
-    _, k0 = _key_width(t)
-    key = _packed_keys(t)
-    levels = [key]
+    bits, k0 = _key_width(t)
+    ks = _sort_width(t)
+    shift = n.bit_length()
     # Positions and ranks take 4 bytes each below n = 2**30.
     dtype = np.int32 if n < 2**30 else np.int64
-    order = np.argsort(key[1:])
+    words = _packed_keys(t)[1:]
+    words >>= bits * (k0 - ks)
+    words <<= shift
+    words |= np.arange(1, n + 1, dtype=dtype)
+    words.sort()
     sa = np.zeros(n + 1, dtype=dtype)
-    np.add(order, 1, out=sa[1:], casting="unsafe")
-    key = key[1:][order]
-    del order
+    np.bitwise_and(words, (1 << shift) - 1, out=sa[1:], casting="unsafe")
+    words >>= shift
+    shallow = np.zeros(n + 1, dtype=np.uint8)
+    for lo in range(0, n - 1, _LCP_CHUNK):
+        ends = words[lo:lo + _LCP_CHUNK + 1]
+        shallow[2 + lo:1 + lo + len(ends)] = _tail(ends[1:] ^ ends[:-1], bits, ks)
+    del words, ends
+    # A group starts wherever the sorted keys differ.
+    head = shallow[1:] < ks
     pos = sa[1:]
     rank = np.zeros(n + 1, dtype=dtype)
     slots = np.arange(1, n + 1, dtype=dtype)
-    k = k0
+    k = ks
     while True:
-        # ``key`` is sorted: a group starts wherever it changes.
-        head = np.empty(len(key), dtype=bool)
-        head[0] = True
-        np.not_equal(key[1:], key[:-1], out=head[1:])
-        # Each array goes once used: the round's heap peak is what is left.
-        del key
         alone = head.copy()
         alone[:-1] &= head[1:]
         if alone.all():
             break
         first = slots * head
+        del head
         np.maximum.accumulate(first, out=first)
         rank[pos] = first
-        if k > k0:
-            levels.append(rank.copy())
         tied = np.flatnonzero(~alone)
         del alone
-        slots = slots[tied]
-        pos = pos[tied]
-        key = np.multiply(first[tied], n + 1, dtype=np.int64)
+        slots = slots.take(tied)
+        pos = pos.take(tied)
+        key = np.multiply(first.take(tied), n + 1, dtype=np.int64)
         del first, tied
-        key += rank[k:][pos]
+        key += rank[k:].take(pos)
         # Within a group the previous order often sorts the new keys
         # already, and a stable sort runs through such stretches in O(u).
         order = np.argsort(key, kind="stable")
-        key = key[order]
-        pos = pos[order]
+        key = key.take(order)
+        pos = pos.take(order)
         del order
         sa[slots] = pos
+        head = np.empty(len(key), dtype=bool)
+        head[0] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        del key
         k <<= 1
-    return pack(sa, n), levels
+    return pack(sa, n), shallow
 
 
 def build_inverse(sa: Sequence[int]) -> array:
@@ -192,71 +203,101 @@ def build_inverse(sa: Sequence[int]) -> array:
     return pack(isa, len(values) - 1)
 
 
-#: Adjacent pairs per step of :func:`build_lcp`: each step's temporaries
-#: take a few dozen bytes a pair, so 2**13 pairs stay below half a MB.
+#: Adjacent pairs per step of the first sort's LCP pass: each step's
+#: temporaries take a few dozen bytes a pair, so 2**13 pairs stay below
+#: half a MB.
 _LCP_CHUNK = 1 << 13
 
 
-def _tail(x: np.ndarray, bits: int, k0: int) -> np.ndarray:
-    """Equal leading symbols of two ``k0``-symbol keys, from their XOR."""
-    return (k0 * bits - _bit_length(x)) // bits
+def _tail(x: np.ndarray, bits: int, width: int) -> np.ndarray:
+    """Equal leading symbols of two ``width``-symbol keys, from their XOR."""
+    return (width * bits - _bit_length(x)) // bits
 
 
-def build_lcp(t: Text, sa: Sequence[int], levels: list[np.ndarray]) -> array:
+#: Symbols compared per pair in each step of :func:`_extend`.  Wider steps
+#: take fewer numpy calls on deep pairs and gather more bytes for shallow
+#: ones; on repetitive text 128 ran a third faster than 64 and about as
+#: fast as 256.
+_STEP = 128
+
+
+def _extend(codes: np.ndarray, a: np.ndarray, b: np.ndarray, common: int) -> np.ndarray:
+    """LCPs of the suffix pairs ``(a[j], b[j])``, which share ``common`` symbols.
+
+    Each step compares the next ``_STEP`` symbols of every pair still
+    equal, as two rows of a zero-copy window view of the text, and drops
+    the pairs that differ there.  The view runs over a copy of the codes
+    padded with ``_STEP`` terminators, so no window is cut short.
+    """
+    padded = np.zeros(len(codes) + _STEP, dtype=np.uint8)
+    padded[:len(codes)] = codes
+    windows = sliding_window_view(padded, _STEP)
+    out = np.empty(len(a), dtype=a.dtype)
+    live = np.arange(len(a), dtype=a.dtype)
+    while live.size:
+        # Indexing gathers the rows; ``take`` would copy the whole view.
+        differ = windows[a + common] != windows[b + common]
+        done = differ.any(axis=1)
+        out[live[done]] = common + differ[done].argmax(axis=1)
+        equal = ~done
+        live, a, b = live[equal], a[equal], b[equal]
+        common += _STEP
+    return out
+
+
+def build_lcp(t: Text, sa: Sequence[int], shallow: np.ndarray) -> array:
     """Longest-common-prefix lengths of rank-adjacent suffixes.
 
-    ``levels`` are the prefix classes of :func:`build_suffix_array`'s one
-    doubling pass: level ``j`` is equal at two positions exactly when they
-    share ``k0 * 2**j`` symbols, and the last round's all-distinct classes
-    bound every common prefix below ``k0 * 2**len(levels)``.  Fewer than
-    ``k0`` equal symbols are read off the level-0 keys: the leading zero
-    bits of the two keys' XOR, over ``bits`` per symbol.  One gather of the
-    keys in suffix order gives that XOR for every adjacent pair, and a pair
-    whose keys differ is done.  Only the tied pairs, equal on their first
-    ``k0`` symbols, descend: from the top level, a pair's common prefix
-    grows by ``k0 * 2**j`` wherever the classes at its current offsets
-    agree, each level is dropped from ``levels`` once used, and the keys'
-    XOR at the final offsets gives the rest.  No pair descends on random
-    text; on repetitive text most do.  Work is one pass over the pairs plus
-    O(t) per level for the ``t`` tied ones; transient memory beyond the
-    levels is the 4n-byte result, 16 bytes per tied pair, and one
-    ``_LCP_CHUNK`` of pairs' temporaries.
+    ``shallow`` is :func:`build_suffix_array`'s second value: each pair's
+    LCP capped at the first sort's ``ks`` symbols.  Only the pairs tied at
+    ``ks`` need more.  Write ``PLCP[p]`` for the LCP of suffix ``p`` with
+    the suffix ranked just before it.  Where the symbols before the two
+    suffixes are equal, ``PLCP[p - 1] = PLCP[p] + 1``: the pair one
+    position back is rank-adjacent too.  So ``PLCP[p] + p`` never
+    decreases in ``p``, and it changes only at a BWT-run boundary, where
+    the symbols before differ (Kaerkkaeinen, Manzini & Puglisi, CPM 2009).
+    Walking back in text order from a tied position, the LCP only grows
+    until the nearest boundary, so that boundary is tied too.  Hence only
+    the tied boundary pairs are compared (:func:`_extend`); their
+    ``PLCP[p] + p`` go into a zeroed array, one running maximum in text
+    order gives ``PLCP[p] + p`` at every tied position and no more than
+    ``PLCP[p] + p`` anywhere, and each rank's LCP is the larger of its
+    shallow LCP and that maximum minus its position.  No pair is tied on
+    random text, which skips all of it.  Work is one pass over the pairs,
+    plus ``_STEP`` symbols per step and tied boundary pair, for as many
+    steps as the deepest of them needs; transient memory is the 4n-byte
+    result, one 4n-byte array in text order and its gather in rank order
+    (which ``take`` makes through an 8n-byte intp copy of ``sa``), and the
+    padded n-byte text.
     """
     n = t.n
-    bits, k0 = _key_width(t)
-    dtype = np.int32 if n < 2**30 else np.int64  # positions plus offsets fit
-    order = np.asarray(sa, dtype=dtype)[1:]
-    key = levels[0]
-    lcp = np.zeros(n + 1, dtype=dtype)
-    found = []
-    for lo in range(0, n - 1, _LCP_CHUNK):
-        ends = key[order[lo:lo + _LCP_CHUNK + 1]]
-        x = ends[1:] ^ ends[:-1]
-        lcp[2 + lo:2 + lo + len(x)] = _tail(x, bits, k0)
-        found.append(np.flatnonzero(x == 0).astype(dtype) + lo)
-    tied = np.concatenate(found)
-    del found
-    a = order[tied]
-    b = order[tied + 1]
-    common = np.zeros(len(tied), dtype=dtype)
-    spans = [slice(lo, lo + _LCP_CHUNK)
-             for lo in range(0, len(tied), _LCP_CHUNK)]
-    for j in reversed(range(len(levels))):
-        classes = levels.pop()
-        for span in spans:
-            c = common[span]
-            agree = classes[a[span] + c] == classes[b[span] + c]
-            c += agree.astype(dtype) * (k0 << j)
-    for span in spans:
-        c = common[span]
-        x = key[a[span] + c] ^ key[b[span] + c]
-        lcp[2 + tied[span]] = c + _tail(x, bits, k0)
+    ks = _sort_width(t)
+    sa = np.asarray(sa)
+    lcp = shallow.astype(sa.dtype)
+    tied = shallow[2:] == ks
+    if tied.any():
+        codes = _codes(t)
+        bwt = codes.take(np.subtract(sa[1:], 1, dtype=np.intp))
+        tied &= bwt[1:] != bwt[:-1]
+        del bwt
+        ranks = np.flatnonzero(tied) + 2
+        del tied
+        b = sa.take(ranks)
+        deep = _extend(codes, sa.take(ranks - 1), b, ks)
+        plus = np.zeros(n + 1, dtype=lcp.dtype)
+        plus[b] = deep + b
+        del ranks, b, deep
+        np.maximum.accumulate(plus, out=plus)
+        fill = plus.take(sa)
+        del plus
+        fill -= sa
+        np.maximum(lcp, fill, out=lcp)
     return pack(lcp, n)
 
 
 def build_ensemble(t: Text) -> SuffixEnsemble:
-    sa, levels = build_suffix_array(t)
-    return SuffixEnsemble(sa=sa, lcp=build_lcp(t, sa, levels), text=t)
+    sa, shallow = build_suffix_array(t)
+    return SuffixEnsemble(sa=sa, lcp=build_lcp(t, sa, shallow), text=t)
 
 
 def find_pattern_range(

@@ -10,8 +10,12 @@ from cpmatch.generate import generate_repetitive
 from cpmatch.index import build_index
 from cpmatch.persistence import load_index, save_index
 from cpmatch.rmq import QueryStats
+from cpmatch import suffixes
 from cpmatch.suffixes import (
+    _STEP,
     _bit_length,
+    _packed_keys,
+    _sort_width,
     build_ensemble,
     build_inverse,
     build_lcp,
@@ -25,24 +29,23 @@ import naive
 
 
 def test_alabar_suffix_array(alabar_text):
-    sa, levels = build_suffix_array(alabar_text)
+    sa, shallow = build_suffix_array(alabar_text)
     assert list(sa) == alabar_data.SA
-    assert list(build_lcp(alabar_text, sa, levels)) == alabar_data.LCP
-    assert levels == []  # each level is dropped once used
+    assert list(build_lcp(alabar_text, sa, shallow)) == alabar_data.LCP
 
 
 def test_alabar_reverse_suffix_array(alabar_text):
     t = reverse_text(alabar_text)
-    sa, levels = build_suffix_array(t)
+    sa, shallow = build_suffix_array(t)
     assert list(sa) == alabar_data.SA_REV
-    assert list(build_lcp(t, sa, levels)) == alabar_data.LCP_REV
+    assert list(build_lcp(t, sa, shallow)) == alabar_data.LCP_REV
 
 
 def test_single_letter_suffix_array():
     t = load_text(b"a")
-    sa, levels = build_suffix_array(t)
+    sa, shallow = build_suffix_array(t)
     assert list(sa) == [0, 2, 1]
-    assert list(build_lcp(t, sa, levels)) == [0, 0, 0]
+    assert list(build_lcp(t, sa, shallow)) == [0, 0, 0]
 
 
 def test_alabar_lcp(alabar_text):
@@ -119,13 +122,15 @@ def test_bit_length_is_exact_up_to_2_63():
     assert got.tolist() == [v.bit_length() for v in values]
 
 
-def _planted_repeats(rng, sigma, k0):
+def _planted_repeats(rng, sigma, ks):
     """Pairs of equal blocks whose common prefix is exactly each length in
-    ``m * k0 + r`` (m in 0, 1, 3; every residue r) and ``k0 * 2**j`` (and
-    one either side), in both directions: each block is preceded by two
-    different symbols and followed by two different symbols."""
-    lengths = {m * k0 + r for m in (0, 1, 3) for r in range(k0)}
-    lengths |= {(k0 << j) + d for j in range(5) for d in (-1, 0, 1)}
+    ``m * ks + r`` (every residue r of the first-sort width ``ks``, m in 0,
+    1, 3) and ``ks + m * _STEP`` (and one either side, m in 0..3), in both
+    directions: each block is preceded by two different symbols and
+    followed by two different symbols, so each pair is at a BWT-run
+    boundary either way."""
+    lengths = {m * ks + r for m in (0, 1, 3) for r in range(ks)}
+    lengths |= {ks + m * _STEP + d for m in range(4) for d in (-1, 0, 1)}
     lengths.discard(0)
     symbols = range(1, sigma + 1)
     out = []
@@ -137,33 +142,66 @@ def _planted_repeats(rng, sigma, k0):
     return bytes(out + list(symbols)), lengths
 
 
-def test_lcp_levels_and_tail_for_every_key_width():
-    # One to eight bits per symbol, so the first sort packs k0 = 63 down to
-    # 7 symbols per key.  The common prefixes land on every residue of k0,
-    # so the tail reads every count of equal symbols, and on multiples of
-    # k0 * 2**j, where the descent ends on a level with no tail left.
+def test_lcp_steps_and_tail_for_every_key_width():
+    # One to eight bits per symbol, so the first sort, which keeps room for
+    # a position beside its key, packs ks = 53 down to 6 symbols.  The
+    # common prefixes land on every residue of ks, so the first sort's
+    # tail reads every count of equal symbols, and on each side of the
+    # first multiples of the LCP step past ks, where a step ends on a
+    # whole window.
     rng = random.Random(41)
     widths = set()
     for sigma in (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255):
         if sigma == 1:
-            k0 = 63
-            raw, lengths = b"a" * ((k0 << 4) + 2), set(range(k0 << 4))
+            raw = b"a" * (4 * _STEP)
+            lengths = set(range(len(raw)))
         else:
-            k0 = 63 // sigma.bit_length()
-            raw, lengths = _planted_repeats(rng, sigma, k0)
-        widths.add(k0)
+            # ks depends on n, which depends on the lengths planted.
+            ks = 63 // sigma.bit_length()
+            while True:
+                raw, lengths = _planted_repeats(rng, sigma, ks)
+                if _sort_width(load_text(raw)) == ks:
+                    break
+                ks = _sort_width(load_text(raw))
         text = load_text(raw)
         assert text.sigma == sigma
+        widths.add(_sort_width(text))
         for t in (text, reverse_text(text)):
-            sa, levels = build_suffix_array(t)
-            assert len(levels) >= 5  # k0 * 16 is a level
+            sa, shallow = build_suffix_array(t)
             want = naive.doubling_suffix_array(t)
             assert list(sa) == want, sigma
-            lcp = list(build_lcp(t, sa, levels))
+            lcp = list(build_lcp(t, sa, shallow))
             assert lcp == naive.kasai_lcp(t, want), sigma
             assert lcp == naive.prefix_class_lcp(t, want), sigma
             assert lengths <= set(lcp), sigma
-    assert widths == {63, 31, 21, 15, 12, 10, 9, 7}
+    assert widths == {53, 24, 16, 12, 10, 8, 7, 6}
+
+
+def test_only_tied_run_boundaries_step(monkeypatch):
+    # The LCP steps run only for pairs that share the first sort's ks
+    # symbols and whose preceding symbols differ; every other tied pair
+    # takes its LCP from the fill in text order.
+    stepped = []
+
+    def spy(codes, a, b, common):
+        stepped.append(set(zip(a.tolist(), b.tolist())))
+        return extend(codes, a, b, common)
+
+    extend = suffixes._extend
+    monkeypatch.setattr(suffixes, "_extend", spy)
+    text = load_text(generate_repetitive(2000, 9, 0.01, 1))
+    for t in (text, reverse_text(text)):
+        stepped.clear()
+        e = build_ensemble(t)
+        sa = naive.naive_suffix_array(t)
+        lcp = naive.kasai_lcp(t, sa)
+        ks = _sort_width(t)
+        before = [t.symbols[p - 1] for p in sa]
+        tied = [i for i in range(2, t.n + 1) if lcp[i] >= ks]
+        want = {(sa[i - 1], sa[i]) for i in tied if before[i - 1] != before[i]}
+        assert list(e.lcp) == lcp
+        assert stepped == [want]
+        assert 0 < len(want) < len(tied) // 4, (len(want), len(tied))
 
 
 def test_packed_keys_match_the_symbol_loop():
@@ -181,7 +219,7 @@ def test_packed_keys_match_the_symbol_loop():
         for raw in (full, *short):
             t = load_text(raw)
             n, bits = t.n, t.sigma.bit_length()
-            got = build_suffix_array(t)[1][0]
+            got = _packed_keys(t)
             assert got.tolist() == naive.packed_keys(t).tolist(), raw
             # The last symbol's window holds it, then only terminators.
             width = min(63 // bits, n)
