@@ -15,7 +15,8 @@ end are padded with terminators.  The index answers it in five moves:
    no scan), or by a range minimum over a precomputed rank-translation
    array;
 4. split each forward interval at depth ``m + 2*ell``, one piece per
-   distinct right context ``Y``;
+   distinct right context ``Y`` (a one-rank interval is its own piece and
+   is not split);
 5. report every piece with its count and a representative occurrence.
 
 A run whose left context crosses the text start is a singleton (the
@@ -30,7 +31,7 @@ import struct
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -93,6 +94,9 @@ class ContextMatch:
     p_offset: int
 
 
+# ``query`` builds each match without the frozen ``__init__``, which routes
+# every field through ``object.__setattr__``: filling the six slots through
+# their descriptors takes about half as long, once per reported context.
 _new_object = object.__new__
 _set_context = ContextMatch.context.__set__
 _set_ds = ContextMatch.ds.__set__
@@ -100,23 +104,6 @@ _set_de = ContextMatch.de.__set__
 _set_count = ContextMatch.count.__set__
 _set_rep_position = ContextMatch.rep_position.__set__
 _set_p_offset = ContextMatch.p_offset.__set__
-
-
-def _match(context, ds, de, count, rep_position, p_offset) -> ContextMatch:
-    """``ContextMatch(...)`` without the frozen ``__init__``.
-
-    That ``__init__`` routes each field through ``object.__setattr__``;
-    filling the six slots through their descriptors takes about half as
-    long, which the query path pays once per reported context.
-    """
-    match = _new_object(ContextMatch)
-    _set_context(match, context)
-    _set_ds(match, ds)
-    _set_de(match, de)
-    _set_count(match, count)
-    _set_rep_position(match, rep_position)
-    _set_p_offset(match, p_offset)
-    return match
 
 
 @dataclass
@@ -169,17 +156,6 @@ def assemble_index(
     )
 
 
-def _context_start(ix: CpmIndex, rev_rank: int, m: int, ell: int,
-                   stats: QueryStats | None) -> int:
-    """Text position where the left context of this run would begin.
-
-    Zero or negative means the context crosses the left text end.
-    """
-    if stats is not None:
-        stats.sa_accesses += 1
-    return ix.text.n - ix.rev.sa[rev_rank] - (m + ell - 1)
-
-
 def map_via_psv_nsv(
     ix: CpmIndex,
     part: tuple[int, int],
@@ -199,11 +175,15 @@ def map_via_psv_nsv(
     :func:`emit_boundary_context`).
     """
     t = m + ell
-    j = _context_start(ix, part[0], m, ell, stats)
+    # Where the run's left context begins; at 0 or below it crosses the
+    # text start.  Reading it counts one suffix array access.
+    j = ix.text.n - ix.rev.sa[part[0]] - t + 1
     if j <= 0:
+        if stats is not None:
+            stats.sa_accesses += 1
         return emit_boundary_context(ix, part, j + ell, stats)
     if stats is not None:
-        stats.sa_accesses += 1
+        stats.sa_accesses += 2
     p = ix.isa[j]
     lcp = ix.fwd.lcp
     ds = p if lcp[p] < t else ix.rmq_fwd.psv(p, t, stats)
@@ -228,14 +208,18 @@ def map_via_cmin(
     inverse lookup yields the start; the size carries over unchanged.
     Returns ``(ds, de, p_offset)`` as :func:`map_via_psv_nsv` does.
     """
-    j = _context_start(ix, part[0], m, ell, stats)
+    n = ix.text.n
+    rev_sa = ix.rev.sa
+    # The run's context start, as in :func:`map_via_psv_nsv`.
+    j = n - rev_sa[part[0]] - (m + ell - 1)
     if j <= 0:
+        if stats is not None:
+            stats.sa_accesses += 1
         return emit_boundary_context(ix, part, j + ell, stats)
     i_min = ix.rmq_c.rmq(part[0], part[1], stats)
     if stats is not None:
-        stats.sa_accesses += 2
-    j = ix.text.n - ix.rev.sa[i_min] - (m + ell - 1)
-    ds = ix.isa[j]
+        stats.sa_accesses += 3
+    ds = ix.isa[n - rev_sa[i_min] - (m + ell - 1)]
     return ds, ds + (part[1] - part[0]), ell
 
 
@@ -302,12 +286,21 @@ def query(
         ds, de, p_offset = mapper(ix, part, m, ell, stats)
         if trace is not None:
             trace.mapped_ranges.append((ds, de))
-        for sub_lo, sub_hi in partition_interval(rmq_fwd, ds, de, depth, stats):
+        # One rank is one piece; splitting it would make no counted call.
+        pieces = ((ds, de),) if ds == de else partition_interval(
+            rmq_fwd, ds, de, depth, stats)
+        for sub_lo, sub_hi in pieces:
             if stats is not None:
                 stats.sa_accesses += 1
             pos = fwd_sa[sub_lo] + p_offset
-            out.append(_match(extract_context(ix, pos, m, ell), sub_lo, sub_hi,
-                              sub_hi - sub_lo + 1, pos, p_offset))
+            match = _new_object(ContextMatch)
+            _set_context(match, extract_context(ix, pos, m, ell))
+            _set_ds(match, sub_lo)
+            _set_de(match, sub_hi)
+            _set_count(match, sub_hi - sub_lo + 1)
+            _set_rep_position(match, pos)
+            _set_p_offset(match, p_offset)
+            out.append(match)
     return out
 
 
@@ -316,10 +309,18 @@ def enumerate_occurrences(ix: CpmIndex, match: ContextMatch) -> list[int]:
     return [ix.fwd.sa[r] + match.p_offset for r in range(match.ds, match.de + 1)]
 
 
-@lru_cache(maxsize=256)
-def _unpacker(width: int):
-    """``unpack_from`` of ``width`` bytes as ints, compiled once per width."""
-    return struct.Struct(f"{width}B").unpack_from
+#: ``unpack_from`` of ``width`` bytes as ints, by width, for at most
+#: :data:`_UNPACKER_WIDTHS` widths at a time.
+_unpackers: dict[int, Callable] = {}
+_UNPACKER_WIDTHS = 256
+
+
+def _compile_unpacker(width: int) -> Callable:
+    """Compile and keep the unpacker of a width not seen lately."""
+    if len(_unpackers) >= _UNPACKER_WIDTHS:
+        _unpackers.clear()
+    unpack = _unpackers[width] = struct.Struct(f"{width}B").unpack_from
+    return unpack
 
 
 def extract_context(ix: CpmIndex, pos: int, m: int, ell: int) -> tuple[int, ...]:
@@ -333,7 +334,8 @@ def extract_context(ix: CpmIndex, pos: int, m: int, ell: int) -> tuple[int, ...]
     lo, hi = pos - ell, pos + m + ell
     size = len(symbols)
     if lo >= 0 and hi <= size:
-        return _unpacker(hi - lo)(symbols, lo)
+        unpack = _unpackers.get(hi - lo) or _compile_unpacker(hi - lo)
+        return unpack(symbols, lo)
     before = max(0, min(hi, 0) - lo)
     after = max(0, hi - max(lo, size))
     inner = symbols[max(lo, 0):min(hi, size)] if hi > 0 and lo < size else ()

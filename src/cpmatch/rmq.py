@@ -11,12 +11,14 @@ offsets per power-of-two width from 2 to 128, about 7 bytes per element in
 all.  Above them it keeps the leftmost minimum of every ``BLOCK``-wide block
 and one sparse table of positions over the blocks, about
 ``4 * (n / 256) * log2(n / 256)`` bytes.  Values are read through the base
-array.  It answers range minima in O(1); each threshold scan walks one
-block, the block table and one more block, in O(log n).  Both levels are
-built row by row from contiguous slices of the previous row's answers and
-minima, in O(n) array work, with each answer selected by arithmetic rather
-than by ``np.where``, which costs 10-30x an element-wise op on a
-data-dependent mask.
+array.  It answers range minima in O(1).  A threshold scan gallops from its
+anchor through the rest of the anchor's block, in O(log gap) steps for an
+answer ``gap`` positions away; only an answer in another block takes the
+walk over the block table and a scan of that block, O(log n) in all.  Both
+levels are built row by row from contiguous slices of the previous row's
+answers and minima, in O(n) array work, with each answer selected by
+arithmetic rather than by ``np.where``, which costs 10-30x an element-wise
+op on a data-dependent mask.
 """
 
 from __future__ import annotations
@@ -207,9 +209,9 @@ class RmqStructure:
             raise InvalidRangeError(f"rmq range [{i}..{j}] outside 1..{self.n}")
         if stats is not None:
             stats.rmq_calls += 1
-        k = (j - i + 1).bit_length() - 1
-        if not k:
+        if i == j:
             return i
+        k = (j - i + 1).bit_length() - 1
         if k > 7:  # j - i + 1 >= BLOCK
             return self._across_blocks(i, j)
         # Two overlapping windows of one row, the left one winning ties.
@@ -247,9 +249,11 @@ class RmqStructure:
     def psv(self, p: int, d: int, stats: QueryStats | None = None) -> int:
         """Largest ``q < p`` with ``array[q] < d``, or 0 when none exists.
 
-        A walk left through the rest of ``q``'s block, then down the block
-        table to the nearest block whose minimum is below ``d``, then through
-        that block; O(log n) reads in all.
+        A scan left from ``p - 1`` through the rest of its block gallops
+        over windows of growing width, so an answer ``g`` positions away
+        costs O(log g) steps.  Only when the block holds none does it walk
+        down the block table to the nearest block whose minimum is below
+        ``d`` and scan that block; O(log n) reads in all.
         """
         if not 1 <= p <= self.n + 1:
             raise InvalidPositionError(f"psv position {p} outside 1..{self.n + 1}")
@@ -277,8 +281,9 @@ class RmqStructure:
     def nsv(self, p: int, d: int, stats: QueryStats | None = None) -> int:
         """Smallest ``q > p`` with ``array[q] < d``, or ``n + 1`` when none.
 
-        The mirror of :meth:`psv`: a walk right through the rest of ``q``'s
-        block, up the block table, then through one block.
+        The mirror of :meth:`psv`: a galloping scan right from ``p + 1``
+        through the rest of its block, in O(log gap) steps, and only when
+        that finds nothing a walk up the block table and a scan of one block.
         """
         if not 0 <= p <= self.n:
             raise InvalidPositionError(f"nsv position {p} outside 0..{self.n}")
@@ -286,6 +291,8 @@ class RmqStructure:
             stats.nsv_calls += 1
         n = self.n
         q = p + 1
+        if q > n:
+            return q
         b = (q - 1) >> 8
         if (q - 1) & 255:
             end = min((b + 1) << 8, n)
@@ -309,14 +316,32 @@ class RmqStructure:
     def _scan_left(self, q: int, start: int, d: int) -> int:
         """Largest position in ``start..q`` below ``d``, else ``start - 1``.
 
-        At each width from 128 down it skips the window ending at ``q`` when
-        that window lies in ``start..q`` and its minimum is at least ``d``,
-        so the skipped widths spell out the gap.  The gap must be under
-        ``BLOCK``: ``start..q`` is narrower, or holds a value below ``d``.
+        ``start <= q`` and ``start..q`` lies in one block.  After ``q``
+        itself it gallops left over the windows of width 2, 4, 8, ... that
+        each end where the last began, until one holds a value below ``d``
+        or would cross ``start``.  It then halves back inside that window,
+        or inside what is left of ``start..q``: at each width from half the
+        window's down it skips the window ending at ``q`` when that window
+        lies in ``start..q`` and its minimum is at least ``d``, so the
+        skipped widths spell out the rest of the gap.  Both phases take
+        O(log gap) steps.
         """
         array = self.array
+        if array[q] < d:
+            return q
         rows = self._rows
-        for k in range(min(7, (q - start + 1).bit_length() - 1), 0, -1):
+        q -= 1
+        k = 1
+        while True:
+            s = q - (1 << k) + 1
+            if s < start:
+                break
+            if array[s + rows[k][s]] < d:
+                start = s
+                break
+            q = s - 1
+            k += 1
+        for k in range(k - 1, 0, -1):
             s = q - (1 << k) + 1
             if s >= start and array[s + rows[k][s]] >= d:
                 q = s - 1
@@ -327,11 +352,25 @@ class RmqStructure:
     def _scan_right(self, q: int, end: int, d: int) -> int:
         """Smallest position in ``q..end`` below ``d``, else ``end + 1``.
 
-        The mirror of :meth:`_scan_left`, under the same condition.
+        The mirror of :meth:`_scan_left`: ``q`` first, then galloping right
+        and halving back, in O(log gap) steps.
         """
         array = self.array
+        if array[q] < d:
+            return q
         rows = self._rows
-        for k in range(min(7, (end - q + 1).bit_length() - 1), 0, -1):
+        q += 1
+        k = 1
+        while True:
+            width = 1 << k
+            if q + width - 1 > end:
+                break
+            if array[q + rows[k][q]] < d:
+                end = q + width - 1
+                break
+            q += width
+            k += 1
+        for k in range(k - 1, 0, -1):
             width = 1 << k
             if q + width - 1 <= end and array[q + rows[k][q]] >= d:
                 q += width
@@ -366,19 +405,21 @@ def partition_interval(
     rmq = struct.rmq
     parts = []
     start = lo
-    # A range ``(s, e)`` is still to be searched; ``(p, None)`` is a split
-    # at ``p``, popped only after every split left of it.
+    # A non-empty range ``(s, e)`` is still to be searched; ``(p, None)`` is
+    # a split at ``p``, popped only after every split left of it.
     pending: list[tuple[int, int | None]] = [(lo + 1, hi)]
     while pending:
         s, e = pending.pop()
         if e is None:
             parts.append((start, s - 1))
             start = s
-        elif s <= e:
+        else:
             p = rmq(s, e, stats)
             if array[p] < threshold:
-                pending.append((p + 1, e))
+                if p < e:
+                    pending.append((p + 1, e))
                 pending.append((p, None))
-                pending.append((s, p - 1))
+                if s < p:
+                    pending.append((s, p - 1))
     parts.append((start, hi))
     return parts

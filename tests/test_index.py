@@ -11,6 +11,7 @@ from cpmatch.errors import (
     NonSingletonBoundaryError,
     SentinelInPatternError,
 )
+from cpmatch import index
 from cpmatch.generate import generate_repetitive
 from cpmatch.index import (
     C_UNDEFINED,
@@ -268,6 +269,37 @@ def test_cross_block_query_counts(monkeypatch):
     }
     assert len(widths) == 51454 + 61999
     assert max(widths) >= BLOCK
+
+
+def test_one_rank_intervals_are_not_partitioned(monkeypatch):
+    # On a uniform sigma = 26 text nearly every forward interval is one
+    # rank.  Those are reported without a partition call, and the totals of
+    # every pattern of 1-2 symbols with ell 0-3 are the ones counted when
+    # every forward interval went through partition_interval.
+    ix = build_index(load_text(generate_repetitive(5000, 0, 0.0, 1, sigma=26)))
+    forward = []
+    partition = index.partition_interval
+
+    def recorded(struct, lo, hi, threshold, stats=None):
+        if struct is ix.rmq_fwd:
+            forward.append((lo, hi))
+        return partition(struct, lo, hi, threshold, stats)
+
+    monkeypatch.setattr(index, "partition_interval", recorded)
+    totals = {}
+    for strategy in MappingStrategy:
+        stats = QueryStats()
+        for m in (1, 2):
+            for pattern in itertools.product(range(1, 27), repeat=m):
+                for ell in range(4):
+                    query(ix, pattern, ell, strategy=strategy, stats=stats)
+        totals[strategy] = (stats.rmq_calls, stats.psv_calls, stats.nsv_calls,
+                            stats.sa_accesses)
+    assert totals == {
+        MappingStrategy.PSV_NSV: (31170, 1847, 1802, 148191),
+        MappingStrategy.CMIN: (56123, 0, 0, 173144),
+    }
+    assert forward and all(lo < hi for lo, hi in forward)
 
 
 def test_enumerate_occurrences_examples(alabar_index):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cpmatch.errors import EmptyArrayError, InvalidPositionError, InvalidRangeError
-from cpmatch.rmq import QueryStats, RmqStructure, pack, partition_interval
+from cpmatch.rmq import BLOCK, QueryStats, RmqStructure, pack, partition_interval
 
 import alabar_data
 import naive
@@ -194,6 +194,29 @@ def test_multi_block_arrays_match_scans(n):
         lo, hi = np.array(pairs, np.int32).T
         expected = [min(array[i:j + 1]) for i, j in zip(lo, hi)]
         assert s.range_minima(lo, hi).tolist() == expected
+
+
+def test_psv_nsv_every_gap_near_block_edges():
+    # One value below the threshold, at every gap 1..600 left and right of
+    # anchors on both sides of each block edge and of random anchors: the
+    # in-block gallop stops at every window width and halves back to every
+    # offset, and answers in another block take the block-table walk.
+    n = 1500
+    rng = random.Random(22)
+    anchors = {e + side for e in range(BLOCK, n, BLOCK) for side in (0, 1)}
+    anchors |= set(rng.sample(range(1, n + 1), 20))
+    for q in range(1, n + 1):
+        array = [0] + [5] * n
+        array[q] = 2
+        s = RmqStructure(array)
+        for p in anchors:
+            # The scans find nothing on the side away from q.
+            if 1 <= p - q <= 600:
+                assert s.psv(p, 3) == naive.scan_psv(array, p, 3) == q, (p, q)
+                assert s.nsv(p, 3) == n + 1
+            elif 1 <= q - p <= 600:
+                assert s.nsv(p, 3) == naive.scan_nsv(array, n, p, 3) == q, (p, q)
+                assert s.psv(p, 3) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 255, 256, 257, 5000, 70000])
