@@ -306,7 +306,7 @@ def query(
 
 def enumerate_occurrences(ix: CpmIndex, match: ContextMatch) -> list[int]:
     """Start positions of every occurrence behind one match, in rank order."""
-    return [ix.fwd.sa[r] + match.p_offset for r in range(match.ds, match.de + 1)]
+    return [pos + match.p_offset for pos in ix.fwd.sa[match.ds:match.de + 1]]
 
 
 #: ``unpack_from`` of ``width`` bytes as ints, by width, for at most

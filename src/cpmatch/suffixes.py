@@ -6,16 +6,18 @@ terminator at position 0 is deliberately excluded.  Each is a packed
 ``array('i')`` (``'q'`` when n >= 2**31) made by :func:`~cpmatch.rmq.pack`.
 
 The builders are whole-array numpy passes.  One in-place sort of packed
-words orders the suffixes by their first few symbols, and prefix doubling
-re-sorts only the suffixes still tied.  The XOR of adjacent sorted keys
-gives every LCP below the key width; of the deeper pairs, only those at
-BWT-run boundaries are compared symbol by symbol, and one running maximum
-in text order fills in the rest (the Phi method).  One scatter gives the
-inverse.  One direction's build peaks at about 39 bytes of heap per text
-byte on repetitive text, in its first doubling round, and at 19 on random
-text (n = 2**16).  The builders read their input arrays through
-``np.asarray``, a zero-copy view of a packed array, and pack their result
-once.
+words orders the suffixes by their first ``ks`` symbols, and prefix
+doubling re-sorts only the suffixes still tied.  Each key holds ``ks``
+symbols in at most 53 bits, beside a position in one int64, so float64
+holds the XOR of two keys exactly and its exponent is the XOR's bit
+length: the XOR of adjacent sorted keys gives every LCP below ``ks``.  Of
+the deeper pairs, only those at BWT-run boundaries are compared symbol by
+symbol, and one running maximum in text order fills in the rest (the Phi
+method).  One scatter gives the inverse.  One direction's build peaks at
+about 39 bytes of heap per text byte on repetitive text, in its first
+doubling round, and at 19 on random text (n = 2**16).  The builders read
+their input arrays through ``np.asarray``, a zero-copy view of a packed
+array, and pack their result once.
 """
 
 from __future__ import annotations
@@ -50,47 +52,33 @@ def _codes(t: Text) -> np.ndarray:
     return np.frombuffer(t.symbols, dtype=np.uint8)
 
 
-def _key_width(t: Text) -> tuple[int, int]:
-    """Bits per symbol and symbols per 63-bit key: ``(bits, k0)``."""
-    bits = t.sigma.bit_length()
-    return bits, min(63 // bits, t.n)
-
-
 def _sort_width(t: Text) -> int:
-    """Symbols per first-sort key: those that fit in 63 bits beside a position."""
-    return min((63 - t.n.bit_length()) // t.sigma.bit_length(), t.n)
+    """Symbols per first-sort key, ``ks``, the one width the first sort uses.
 
-
-def _bit_length(x: np.ndarray) -> np.ndarray:
-    """``int.bit_length`` of each non-negative int64, exact up to 2**63.
-
-    A float's exponent is the bit length of the integer it holds, except
-    that above 2**53 rounding may add one; it never falls short.  The top
-    37 bits, ``x >> 26``, convert exactly, so 26 plus their length is exact
-    when they are nonzero; when they are zero it is 26, and ``x``, then
-    below 2**26, converts exactly.  The smaller of the two is the length
-    either way.
+    The key fits in 63 bits beside a position, and in float64's 53-bit
+    mantissa, so that :func:`_tail` reads each key XOR's bit length
+    exactly.  The 53-bit cap binds only below n = 512, where
+    ``63 - n.bit_length()`` exceeds 53.
     """
-    length = np.frexp(x >> 26)[1]
-    length += 26
-    return np.minimum(length, np.frexp(x)[1], out=length)
+    return min(min(63 - t.n.bit_length(), 53) // t.sigma.bit_length(), t.n)
 
 
 def _packed_keys(t: Text) -> np.ndarray:
-    """Each position's first ``k0`` symbols packed into one int64, slot 0 zero.
+    """Each position's first ``ks`` symbols packed into one int64, slot 0 zero.
 
     Doubling the packed width, ``W_2w[i] = W_w[i] << bits*w | W_w[i + w]``,
-    and appending one symbol per set bit of ``k0`` below its top bit,
-    reaches ``k0`` symbols in ``floor(log2 k0)`` doublings plus at most as
-    many appends, Horner-style: six shift-or passes for ``k0`` = 21.
-    Windows that run past the text end read the terminator code 0.
+    and appending one symbol per set bit of ``ks`` below its top bit,
+    reaches ``ks`` symbols in ``floor(log2 ks)`` doublings plus at most as
+    many appends, Horner-style.  Windows that run past the text end read
+    the terminator code 0.
     """
-    bits, k0 = _key_width(t)
+    bits = t.sigma.bit_length()
+    ks = _sort_width(t)
     codes = _codes(t)
     key = codes.astype(np.int64)
     spare = np.empty_like(key)
     width = 1
-    for bit in bin(k0)[3:]:
+    for bit in bin(ks)[3:]:
         np.left_shift(key, bits * width, out=spare)
         spare[:-width] |= key[width:]
         key, spare = spare, key
@@ -109,13 +97,14 @@ def build_suffix_array(t: Text) -> tuple[array, np.ndarray]:
     The first sort orders the suffixes by their first ``ks`` symbols
     (:func:`_sort_width`: 15 for four symbols at n = 2·10^5), with
     terminators past the text end.  Each position's word is its packed key
-    (:func:`_packed_keys`) cut to ``ks`` symbols, with the position in the
-    low ``n.bit_length()`` bits; sorting that one int64 array in place
-    gives the first order in its low bits and the sorted keys in its high
-    bits, with no order array and no gather.  The XOR of adjacent sorted
-    keys gives each rank pair's common prefix capped at ``ks``, the second
-    value returned: ``shallow[i]`` for ranks ``i - 1`` and ``i``, one byte
-    each, exact below ``ks``.  :func:`build_lcp` completes it.
+    (:func:`_packed_keys`), at most 53 bits so that float64 holds the XOR
+    of two keys exactly, with the position in the low ``n.bit_length()``
+    bits; sorting that one int64 array in place gives the first order in
+    its low bits and the sorted keys in its high bits, with no order array
+    and no gather.  The XOR of adjacent sorted keys gives each rank pair's
+    common prefix capped at ``ks``, the second value returned:
+    ``shallow[i]`` for ranks ``i - 1`` and ``i``, one byte each, exact
+    below ``ks``.  :func:`build_lcp` completes it.
 
     The suffixes sharing a prefix fill a run of slots, their group, and a
     suffix's rank is its group's first slot.  Each round then re-sorts only
@@ -129,8 +118,8 @@ def build_suffix_array(t: Text) -> tuple[array, np.ndarray]:
     round for its ``u`` unresolved suffixes: O(n log n log(L / ks)) at
     worst (one repeated symbol), far less when most suffixes resolve early.
 
-    Passes: the packing takes about log2 k0 shift-or passes, and the words
-    two shifts and an OR.  A round finds its group starts as
+    Passes: the packing takes about log2 ks shift-or passes, and the words
+    a shift and an OR.  A round finds its group starts as
     ``slots * head`` and one running maximum, selects its tied slots,
     positions and starts through one index, builds the next keys in one
     int64 array, and compares neighbouring keys once for the next heads.
@@ -140,13 +129,12 @@ def build_suffix_array(t: Text) -> tuple[array, np.ndarray]:
     arrays and the 1-byte shallow LCPs.
     """
     n = t.n
-    bits, k0 = _key_width(t)
+    bits = t.sigma.bit_length()
     ks = _sort_width(t)
     shift = n.bit_length()
     # Positions and ranks take 4 bytes each below n = 2**30.
     dtype = np.int32 if n < 2**30 else np.int64
     words = _packed_keys(t)[1:]
-    words >>= bits * (k0 - ks)
     words <<= shift
     words |= np.arange(1, n + 1, dtype=dtype)
     words.sort()
@@ -210,8 +198,12 @@ _LCP_CHUNK = 1 << 13
 
 
 def _tail(x: np.ndarray, bits: int, width: int) -> np.ndarray:
-    """Equal leading symbols of two ``width``-symbol keys, from their XOR."""
-    return (width * bits - _bit_length(x)) // bits
+    """Equal leading symbols of two ``width``-symbol keys, from their XOR.
+
+    ``np.frexp``'s exponent is each XOR's bit length: the XOR, at most 53
+    bits wide (:func:`_sort_width`), converts to float64 exactly.
+    """
+    return (width * bits - np.frexp(x)[1]) // bits
 
 
 #: Symbols compared per pair in each step of :func:`_extend`.  Wider steps

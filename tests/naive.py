@@ -92,19 +92,17 @@ def kasai_lcp(t: Text, sa: list[int]) -> list[int]:
     return lcp
 
 
-def packed_keys(t: Text) -> np.ndarray:
-    """Each position's first ``k0`` symbols as one int64, one pass a symbol.
+def packed_keys(t: Text, width: int) -> np.ndarray:
+    """Each position's first ``width`` symbols as one int64, one pass a symbol.
 
-    ``bits = sigma.bit_length()`` per symbol and ``k0 = min(63 // bits, n)``
-    symbols per key, the first symbol highest.  Slot 0 holds 0, and a
-    window that runs past the text end reads 0 there.
+    ``bits = sigma.bit_length()`` per symbol, the first symbol highest.
+    Slot 0 holds 0, and a window that runs past the text end reads 0 there.
     """
     n = t.n
     bits = t.sigma.bit_length()
-    k0 = min(63 // bits, n)
     codes = np.frombuffer(t.symbols, dtype=np.uint8)
     key = np.zeros(n + 1, dtype=np.int64)
-    for j in range(k0):
+    for j in range(width):
         key <<= bits
         key[1:n + 1 - j] |= codes[1 + j:]
     return key

@@ -339,6 +339,25 @@ def test_extract_context_matches_padded_symbols():
                     assert extract_context(ix, pos, m, ell) == expected
 
 
+def test_extract_context_cache_holds_at_most_its_widths():
+    # More distinct in-range widths than the per-width cache holds, so it
+    # is emptied along the way and must still give every answer.
+    rng = random.Random(13)
+    ix = build_index(load_text(naive.random_raw(rng, 1000, 4)))
+    index._unpackers.clear()
+    for width in range(1, 2 * index._UNPACKER_WIDTHS):
+        ell = width // 3
+        m = width - 2 * ell
+        # The window lies within the text's n + 1 symbols.
+        pos = rng.randint(ell, ix.text.n + 1 - m - ell)
+        expected = tuple(
+            padded_symbol(ix.text, j) for j in range(pos - ell, pos + m + ell)
+        )
+        assert extract_context(ix, pos, m, ell) == expected
+        assert width in index._unpackers
+        assert len(index._unpackers) <= index._UNPACKER_WIDTHS
+
+
 def test_singleton_contexts_need_no_threshold_scans():
     rng = random.Random(12)
     ix = build_index(load_text(naive.random_raw(rng, 300, 4)))

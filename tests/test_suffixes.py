@@ -1,7 +1,7 @@
 import io
 import random
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from cpmatch.corpus import load_text, reverse_text
@@ -13,7 +13,6 @@ from cpmatch.rmq import QueryStats
 from cpmatch import suffixes
 from cpmatch.suffixes import (
     _STEP,
-    _bit_length,
     _packed_keys,
     _sort_width,
     build_ensemble,
@@ -115,13 +114,6 @@ def test_build_matches_references_on_deep_texts():
         load_index(io.BytesIO(sink.getvalue()), verify=True)
 
 
-def test_bit_length_is_exact_up_to_2_63():
-    values = [0, 1, 2**26 - 1, 2**26, 2**52, 2**53 - 1, 2**53, 2**53 + 1,
-              2**62, 2**63 - 1]
-    got = _bit_length(np.array(values, dtype=np.int64))
-    assert got.tolist() == [v.bit_length() for v in values]
-
-
 def _planted_repeats(rng, sigma, ks):
     """Pairs of equal blocks whose common prefix is exactly each length in
     ``m * ks + r`` (every residue r of the first-sort width ``ks``, m in 0,
@@ -206,25 +198,47 @@ def test_only_tied_run_boundaries_step(monkeypatch):
 
 def test_packed_keys_match_the_symbol_loop():
     # Every key width of the test above, on texts holding the whole
-    # alphabet and on texts shorter than one key, where k0 = n.  The last
-    # k0 positions' windows read the terminator at n and run past the end.
+    # alphabet and on texts shorter than one key, where ks = n.  The last
+    # ks positions' windows read the terminator at n and run past the end.
     rng = random.Random(42)
     for sigma in (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255):
-        k0 = 63 // sigma.bit_length()
+        widest = 53 // sigma.bit_length()
         symbols = list(range(1, sigma + 1))
         rng.shuffle(symbols)
-        full = bytes(symbols + rng.choices(symbols, k=3 * k0 + 5))
-        short = [bytes(rng.choices(symbols, k=size)) for size in range(1, k0)]
+        full = bytes(symbols + rng.choices(symbols, k=3 * widest + 5))
+        short = [bytes(rng.choices(symbols, k=size)) for size in range(1, widest)]
         assert load_text(full).sigma == sigma
         for raw in (full, *short):
             t = load_text(raw)
-            n, bits = t.n, t.sigma.bit_length()
+            n, bits, ks = t.n, t.sigma.bit_length(), _sort_width(t)
             got = _packed_keys(t)
-            assert got.tolist() == naive.packed_keys(t).tolist(), raw
+            assert got.tolist() == naive.packed_keys(t, ks).tolist(), raw
             # The last symbol's window holds it, then only terminators.
-            width = min(63 // bits, n)
-            assert got[n - 1] == t.symbols[n - 1] << bits * (width - 1)
+            assert got[n - 1] == t.symbols[n - 1] << bits * (ks - 1)
             assert got[n] == 0
+
+
+def test_sort_width_fits_the_float_mantissa():
+    # Rank-adjacent first-sort keys that differ in their first symbol XOR
+    # to a number as wide as the key, and float64 reads its bit length
+    # exactly only up to 53 bits.  Below n = 512 the 63 bits beside a
+    # position would hold wider keys: 28 symbols of 2 bits at n = 56.
+    for raw in (b"a" + b"b" * 27 + b"a" * 27,
+                b"ab" * 3 + b"a" + b"b" * 40 + b"a" * 40):
+        text = load_text(raw)
+        for t in (text, reverse_text(text)):
+            e = build_ensemble(t)
+            assert list(e.sa) == naive.naive_suffix_array(t), raw
+            assert list(e.lcp) == naive.naive_lcp(t, e.sa), raw
+    # The width reads only n and sigma.
+    lengths = [*range(1, 601), *(2**j for j in range(10, 21))]
+    for sigma in (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255):
+        bits = sigma.bit_length()
+        for n in lengths:
+            ks = _sort_width(SimpleNamespace(n=n, sigma=sigma))
+            assert 1 <= ks <= n
+            assert ks * bits <= 53, (sigma, n)
+            assert ks * bits + n.bit_length() <= 63, (sigma, n)
 
 
 def test_pattern_range_rev_a(alabar_text):
