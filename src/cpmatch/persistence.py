@@ -33,8 +33,15 @@ O(n) array work, with no suffix compared symbol by symbol: rank-adjacent
 suffixes either differ in their first symbol or keep their order one
 position on, and the LCP of a pair follows one LCP entry when the pair
 stays adjacent one position on.  The other pairs sit at BWT-run
-boundaries; one compare of their first 8 symbols settles those that share
-fewer, and range minima run only for the rest.
+boundaries, and range minima run only for those that share 8 symbols or
+more.  A pair that shares fewer is settled by one compare of the two
+suffixes' first 8 symbols, read as one 8-byte window each.  Each
+direction takes one of two complete checks, picked by the share of its
+stored LCP entries below 8: at half or more, every pair compares windows
+first and only equal windows follow the suffixes one position on; below
+half, every pair follows them and only run-boundary pairs compare
+windows.  An unverified LCP section thus steers only the speed of the
+check, never its verdict.
 """
 
 from __future__ import annotations
@@ -62,9 +69,10 @@ _SECTION_COUNT = 8
 _HEADER_SIZE = 4 + 4 + 8 + 8 + _SECTION_COUNT * 16
 _UNDEF_ON_DISK = (1 << 64) - 1
 
-#: Ranks per vectorised step of the load-time order and LCP checks, whose
-#: temporaries take up to about 60 bytes per rank; the held deep
-#: run-boundary pairs get one range-minimum call per half as many.
+#: Ranks per vectorised step of the load-time order and LCP checks, the
+#: window check's as well as the psi check's, whose temporaries take up to
+#: about 60 bytes per rank; the held deep run-boundary pairs get one
+#: range-minimum call per half as many.
 _VERIFY_BLOCK = 1 << 14
 
 #: Largest single read, so that memory grows only with the bytes present.
@@ -136,10 +144,16 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     arrays to be permutations, derives ``fwd_isa`` and ``c_map`` as the
     build does and requires the stored copies to equal them, and rejects
     bytes past the last section.  ``verify`` (the default) adds the O(n)
-    order and LCP checks of :func:`_check_ensemble`: one gather of ``psi``
-    per rank, one 8-symbol window compare per pair at a BWT-run boundary,
-    and range minima only for the boundary pairs whose suffixes share 8
-    symbols or more.  Violations raise :class:`CorruptSectionError`.
+    order and LCP checks of :func:`_check_ensemble`, one of two per
+    direction.  Where fewer than half of the stored LCP entries are below
+    8 (the benchmark's ``repetitive`` and ``long-context`` texts), one
+    gather of ``psi`` per rank and one 8-symbol window compare per pair
+    at a BWT-run boundary.  Elsewhere (``random-dense``), one 8-symbol
+    window per rank and ``psi`` only for pairs whose windows are equal.
+    Either way range minima run only for the boundary pairs whose suffixes
+    share 8 symbols or more, and either check alone rejects every fault,
+    so the unverified LCP section picks only the faster one.  Violations
+    raise :class:`CorruptSectionError`.
 
     Sections are read, checked and packed one at a time in file order, and
     each one's u64 bytes are dropped once used, so at most one section's
@@ -196,9 +210,8 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     rev = SuffixEnsemble(sa=sa_rev, lcp=lcp_rev, text=reverse_text(text))
     ix = assemble_index(text, fwd, rev, c_array, isa)
     if verify:
-        codes = np.frombuffer(text.symbols, dtype=np.uint8)
-        _check_ensemble(fwd, isa, codes, ix.rmq_fwd)
-        _check_ensemble(rev, isa_rev, codes[::-1], ix.rmq_rev)
+        _check_ensemble(fwd, isa, ix.rmq_fwd)
+        _check_ensemble(rev, isa_rev, ix.rmq_rev)
     return ix
 
 
@@ -224,9 +237,7 @@ def _outside(values: np.ndarray, lo: int, hi: int) -> bool:
     return bool(values.min() < lo or values.max() > hi)
 
 
-def _check_ensemble(
-    e: SuffixEnsemble, isa: Sequence[int], codes: np.ndarray, rmq: RmqStructure
-) -> None:
+def _check_ensemble(e: SuffixEnsemble, isa: Sequence[int], rmq: RmqStructure) -> None:
     """Check that the permutation ``e.sa`` is sorted and ``rmq.array`` its LCP.
 
     Both checks are O(n) and need no symbol-by-symbol comparison.  Write
@@ -240,18 +251,33 @@ def _check_ensemble(
     never the terminator, which occurs only at n, so ``psi`` is read only
     at suffixes.
 
-    One gather of ``psi`` per block of ranks serves both checks.  Where
-    ``psi(r) = psi(r - 1) + 1`` the minimum is ``lcp[psi(r)]`` alone.  The
-    other pairs with equal first symbols are the r - sigma - 1 at BWT-run
-    boundaries (the irreducible LCPs of Kaerkkaeinen, Manzini & Puglisi,
-    CPM 2009).  Most of them are shallow: XOR of the two suffixes' 8-symbol
-    windows (:func:`_windows`) is nonzero, and its count of trailing zero
-    bytes is their LCP, below 8.  Pinning some entries to their true LCP
-    keeps the answer unique: by induction on k, every entry whose true
-    LCP is below k is right, and no other entry is below k.  Padding never
-    fakes equality, for two distinct suffixes differ at or before the
-    first terminator, code 0 at n.  Only the deep pairs, whose windows are
-    equal, are held, and checked together by one ``range_minima`` call per
+    Pinning some entries to their true LCP keeps the answer unique: by
+    induction on k, every entry whose true LCP is below k is right, and no
+    other entry is below k.  A pair's true LCP below 8 can be pinned from
+    the two suffixes' 8-symbol windows (:func:`_windows`): their XOR is
+    nonzero, and its count of trailing zero bytes is the LCP.  Padding
+    never fakes equality, for two distinct suffixes differ at or before
+    the first terminator, code 0 at n.  Where ``psi(r) = psi(r - 1) + 1``
+    the minimum is ``lcp[psi(r)]`` alone.  The other pairs with equal first
+    symbols are the r - sigma - 1 at BWT-run boundaries (the irreducible
+    LCPs of Kaerkkaeinen, Manzini & Puglisi, CPM 2009).
+
+    Each block of ranks takes one of two checks, which find the same
+    faults and hold the same pairs.  :func:`_check_block` gathers ``psi``
+    for every rank and reads windows only at run boundaries; it pays where
+    most LCPs are 8 or more, since ``psi`` then decides most pairs.
+    :func:`_check_windows` gathers every rank's window and ``psi`` only
+    where two windows are equal; it pays where most LCPs are below 8.  The
+    choice is made per direction, by :func:`_mostly_shallow`, from the
+    share of stored LCP entries below 8: about 0.09 on the benchmark's
+    ``repetitive`` text and 0.38 on ``long-context``, which take the
+    ``psi`` check, and 1.00 on ``random-dense``, which takes the window
+    check.  The stored LCP is not yet trusted when it steers that choice,
+    but either check is complete on its own, so a forged one can only
+    slow the load, never pass it.
+
+    The deep run-boundary pairs, whose windows are equal, are held, and
+    checked together by one ``range_minima`` call per
     ``_VERIFY_BLOCK // 2`` of them.  Held pairs are checked before a later
     block's fault is raised, so faults are reported as if each block were
     checked in full before the next.
@@ -262,14 +288,18 @@ def _check_ensemble(
     lcp = np.asarray(rmq.array)
     if lcp[1] != 0:
         raise CorruptSectionError(_BAD_LCP)
-    codes = np.ascontiguousarray(codes)
+    codes = np.frombuffer(e.text.symbols, dtype=np.uint8)
     windows = _windows(codes)
+    shallow = _mostly_shallow(lcp)
     held: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     held_count = 0
     for lo in range(1, n, _VERIFY_BLOCK):
-        hi = min(lo + _VERIFY_BLOCK, n)
+        suffixes = sa[lo:min(lo + _VERIFY_BLOCK, n) + 1]
         try:
-            deep = _check_block(lo, sa[lo:hi + 1], isa, lcp, codes, windows)
+            if shallow:
+                deep = _check_windows(lo, suffixes, isa, lcp, windows)
+            else:
+                deep = _check_block(lo, suffixes, isa, lcp, codes, windows)
         except CorruptSectionError:
             _check_held(held, rmq)
             raise
@@ -280,6 +310,48 @@ def _check_ensemble(
             _check_held(held, rmq)
             held_count = 0
     _check_held(held, rmq)
+
+
+def _mostly_shallow(lcp: np.ndarray) -> bool:
+    """Whether at least half of the entries ``lcp[1:]`` are below 8."""
+    return 2 * np.count_nonzero(lcp[1:] < 8) >= len(lcp) - 1
+
+
+def _check_windows(
+    lo: int,
+    suffixes: np.ndarray,
+    isa: np.ndarray,
+    lcp: np.ndarray,
+    windows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check the pairs of ranks of :func:`_check_block` from their windows.
+
+    A pair whose windows differ is decided by them: its LCP is their
+    shared bytes, and its order is that of the first symbol they differ
+    in.  The windows are little-endian, so the XOR's lowest set bit finds
+    that symbol but does not order it; read big-endian, each window is a
+    number whose order is that of its 8 symbols, and equal windows compare
+    equal.  A pair whose windows are equal shares 8 symbols, none of them
+    the terminator, and follows ``psi`` as in :func:`_check_block`.
+    """
+    w = windows.take(suffixes)
+    shared = _shared_bytes(w[:-1] ^ w[1:])
+    tied = np.flatnonzero(shared < 0)
+    psi_left = isa.take(suffixes.take(tied) + 1)
+    psi_right = isa.take(suffixes.take(tied + 1) + 1)
+    big_endian = w.view(">u8")
+    if (big_endian[:-1] > big_endian[1:]).any() or (psi_left >= psi_right).any():
+        raise CorruptSectionError("suffix array ranks out of order")
+    observed = lcp[lo + 1:lo + len(suffixes)]
+    expected = shared.astype(lcp.dtype, copy=False)
+    tied_expected = lcp.take(psi_right)
+    tied_expected += 1
+    deep = np.flatnonzero(psi_right - psi_left != 1)
+    tied_expected[deep] = observed[tied[deep]]
+    expected[tied] = tied_expected
+    if (observed != expected).any():
+        raise CorruptSectionError(_BAD_LCP)
+    return tied[deep] + (lo + 1), psi_left[deep] + 1, psi_right[deep]
 
 
 def _check_block(

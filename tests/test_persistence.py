@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import random
 import struct
 import tracemalloc
@@ -135,14 +136,18 @@ def test_load_holds_one_section_at_a_time(index_2_16):
     # above what the loaded index keeps.  A verified load also holds the
     # verify temporaries, which grow with the verify block and not with n;
     # an unverified one reads 14.9 B/B, so holding a second u64 section
-    # (8 B/B) would break its bound.
-    n = index_2_16.text.n
-    blob = save_bytes(index_2_16)
-    for verify, bound in ((True, 32), (False, 16)):
-        ix, peak, retained = traced_peak(
-            lambda: load_index(io.BytesIO(blob), verify=verify))
-        assert ix.fwd.sa == index_2_16.fwd.sa
-        assert peak - retained <= bound * n, verify
+    # (8 B/B) would break its bound.  The text over 26 letters has no LCP
+    # of 8 or more, so its verified load gathers a window for every rank.
+    sigma_26 = build_index(load_text(generate_repetitive((1 << 16) - 1, 0, 0.0, 1,
+                                                         sigma=26)))
+    for built in (index_2_16, sigma_26):
+        n = built.text.n
+        blob = save_bytes(built)
+        for verify, bound in ((True, 32), (False, 16)):
+            ix, peak, retained = traced_peak(
+                lambda: load_index(io.BytesIO(blob), verify=verify))
+            assert ix.fwd.sa == built.fwd.sa
+            assert peak - retained <= bound * n, (n, verify)
 
 
 @pytest.mark.parametrize("raw, bound", [
@@ -332,43 +337,51 @@ def swap_ranks_consistently(broken: bytearray, blob: bytes, reverse: bool,
             struct.pack_into("<Q", broken, c_off + 8 * slot, i + j + 2 - rank)
 
 
+def force_block_check(monkeypatch, windows: bool) -> None:
+    """Make verified loads take the window check, or the psi check."""
+    monkeypatch.setattr(persistence, "_mostly_shallow", lambda lcp: windows)
+
+
 @pytest.mark.parametrize("block", [None, 7])
 def test_mutated_ranks_and_lcps_caught_by_verify(monkeypatch, block):
     # The sa, isa, lcp and c_map sections each have exactly one valid
     # content, so every in-range edit that changes a byte must be rejected;
-    # an edit of the derived isa or c_map even without verify.
+    # an edit of the derived isa or c_map even without verify.  Either
+    # block check alone must catch it.
     if block is not None:
         monkeypatch.setattr(persistence, "_VERIFY_BLOCK", block)
-    rng = random.Random(41)
-    for _ in range(12):
-        t = load_text(naive.random_raw(rng, rng.randint(1, 60), rng.choice([1, 2, 4])))
-        blob = save_bytes(build_index(t))
-        n = t.n
-        for _ in range(50):
-            section = rng.choice([2, 3, 4, 5, 6, 7])  # fwd_sa .. c_map
-            off, count = section_extent(blob, section)
-            lo, hi = (0, n - 1) if section in (4, 6) else (1, n)
-            i, j = rng.randrange(count), rng.randrange(count)
-            old = struct.unpack_from("<Q", blob, off + 8 * i)[0]
-            broken = bytearray(blob)
-            kind = rng.randrange(3)
-            if kind == 0:
-                struct.pack_into("<Q", broken, off + 8 * i, rng.randint(lo, hi))
-            elif kind == 1:
-                swap_slots(broken, blob, off, i, j)
-            elif section in (4, 6, 7):
-                delta = rng.choice([-1, 1])
-                if lo <= old + delta <= hi:
-                    struct.pack_into("<Q", broken, off + 8 * i, old + delta)
-            elif section != 3:
-                swap_ranks_consistently(broken, blob, section == 5, i, j)
-            if broken == blob:
-                continue
-            with pytest.raises(CorruptSectionError):
-                load_index(io.BytesIO(bytes(broken)))
-            if section in (3, 7):
+    for windows in (False, True):
+        force_block_check(monkeypatch, windows)
+        rng = random.Random(41)
+        for _ in range(12):
+            t = load_text(naive.random_raw(rng, rng.randint(1, 60), rng.choice([1, 2, 4])))
+            blob = save_bytes(build_index(t))
+            n = t.n
+            for _ in range(50):
+                section = rng.choice([2, 3, 4, 5, 6, 7])  # fwd_sa .. c_map
+                off, count = section_extent(blob, section)
+                lo, hi = (0, n - 1) if section in (4, 6) else (1, n)
+                i, j = rng.randrange(count), rng.randrange(count)
+                old = struct.unpack_from("<Q", blob, off + 8 * i)[0]
+                broken = bytearray(blob)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    struct.pack_into("<Q", broken, off + 8 * i, rng.randint(lo, hi))
+                elif kind == 1:
+                    swap_slots(broken, blob, off, i, j)
+                elif section in (4, 6, 7):
+                    delta = rng.choice([-1, 1])
+                    if lo <= old + delta <= hi:
+                        struct.pack_into("<Q", broken, off + 8 * i, old + delta)
+                elif section != 3:
+                    swap_ranks_consistently(broken, blob, section == 5, i, j)
+                if broken == blob:
+                    continue
                 with pytest.raises(CorruptSectionError):
-                    load_index(io.BytesIO(bytes(broken)), verify=False)
+                    load_index(io.BytesIO(bytes(broken)))
+                if section in (3, 7):
+                    with pytest.raises(CorruptSectionError):
+                        load_index(io.BytesIO(bytes(broken)), verify=False)
 
 
 @pytest.mark.parametrize("raw", [b"a" * 20_000, bytes(range(1, 256)) * 4])
@@ -427,12 +440,13 @@ def test_forged_huge_n_fails_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: truncated stream")
 
 
-def test_swapped_symbol_buckets_caught_by_verify():
+def test_swapped_symbol_buckets_caught_by_verify(monkeypatch):
     # In "ab" the suffixes starting with a and with b are one each, so
     # swapping them leaves every LCP value right: only the first-symbol
-    # order can tell.
+    # order can tell, whichever block check runs.
     blob = save_bytes(build_index(load_text(b"ab")))
-    for reverse in (False, True):
+    for windows, reverse in itertools.product((False, True), repeat=2):
+        force_block_check(monkeypatch, windows)
         broken = bytearray(blob)
         swap_ranks_consistently(broken, blob, reverse, 1, 2)
         with pytest.raises(CorruptSectionError, match="out of order"):
@@ -501,6 +515,29 @@ def test_range_minima_only_at_bwt_run_boundaries(monkeypatch):
     assert deep_counts[0] > 0 and deep_counts[1] == 0
 
 
+def test_block_check_follows_the_share_of_shallow_lcps(monkeypatch):
+    # Each direction takes the window check when at least half its stored
+    # LCPs are below 8, else the psi check, for every block.  Random text
+    # over 26 letters has no LCP of 8; the repetitive text's are mostly
+    # deeper.
+    monkeypatch.setattr(persistence, "_VERIFY_BLOCK", 4096)
+    calls = {}
+    for name in ("_check_block", "_check_windows"):
+        def spy(*args, check=getattr(persistence, name), name=name):
+            calls[name] += 1
+            return check(*args)
+        monkeypatch.setattr(persistence, name, spy)
+    for raw, taken, other in (
+        (generate_repetitive(20_000, 0, 0.0, 1, sigma=26), "_check_windows", "_check_block"),
+        (generate_repetitive(2000, 9, 0.01, 1), "_check_block", "_check_windows"),
+    ):
+        ix = build_index(load_text(raw))
+        calls.update({taken: 0, other: 0})
+        load_index(io.BytesIO(save_bytes(ix)))
+        blocks = len(range(1, ix.text.n, 4096))
+        assert calls == {taken: 2 * blocks, other: 0}
+
+
 def random_255(seed: int, size: int, copies: int, rate: float) -> bytes:
     """A random base over bytes 1..255, then mutated copies of it."""
     rng = random.Random(seed)
@@ -512,15 +549,19 @@ def random_255(seed: int, size: int, copies: int, rate: float) -> bytes:
 
 
 def test_lcp_edits_caught_at_both_kinds_of_pair(monkeypatch):
-    # A pair's LCP is checked one of three ways: a psi-adjacent pair's
-    # against one LCP entry in its own block, a shallow run-boundary
-    # pair's against its two 8-symbol windows, and a deep one's by a
-    # range-minimum call after later blocks.  A +1 or -1 edit at each kind,
-    # in either direction, must be caught.  One shallow pair has a window
-    # that runs past n; on the text over 255 byte values, another has codes
-    # of 0x80 and above in its windows.
+    # A pair's LCP is checked one of three ways: against one LCP entry in
+    # its own block, against its two 8-symbol windows, or by a
+    # range-minimum call after later blocks.  The psi check reads windows
+    # only at shallow run-boundary pairs, the window check at every pair
+    # below 8, so a psi-adjacent pair goes to one LCP entry there only when
+    # it is 8 or deeper.  A +1 or -1 edit at each kind, in either
+    # direction, must be caught by either block check.  One shallow pair
+    # has a window that runs past n; on the text over 255 byte values,
+    # another has codes of 0x80 and above in its windows.
     monkeypatch.setattr(persistence, "_VERIFY_BLOCK", 16)
-    for raw in (generate_repetitive(200, 3, 0.05, 1), random_255(1, 1000, 3, 0.05)):
+    texts = (generate_repetitive(200, 3, 0.05, 1), random_255(1, 1000, 3, 0.05))
+    for windows, raw in itertools.product((False, True), texts):
+        force_block_check(monkeypatch, windows)
         ix = build_index(load_text(raw))
         blob = save_bytes(ix)
         n = ix.text.n
@@ -529,6 +570,7 @@ def test_lcp_edits_caught_at_both_kinds_of_pair(monkeypatch):
             shallow = kinds["shallow"]
             picks = [
                 kinds["adjacent"][0],
+                next(r for r in kinds["adjacent"] if e.lcp[r] >= 8),
                 kinds["deep"][0],
                 shallow[0],
                 next(r for r in shallow if max(e.sa[r - 1], e.sa[r]) + 7 > n),
