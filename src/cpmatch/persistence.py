@@ -71,8 +71,10 @@ _UNDEF_ON_DISK = (1 << 64) - 1
 
 #: Ranks per vectorised step of the load-time order and LCP checks, the
 #: window check's as well as the psi check's, whose temporaries take up to
-#: about 60 bytes per rank; the held deep run-boundary pairs get one
-#: range-minimum call per half as many.
+#: about 60 bytes per rank.  The deep run-boundary pairs are held and get
+#: one range-minimum call once half as many (2**13) or more are held, and
+#: after the last block, so one call answers at most 2**13 - 1 + 2**14
+#: pairs.
 _VERIFY_BLOCK = 1 << 14
 
 #: Largest single read, so that memory grows only with the bytes present.
@@ -158,7 +160,11 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     Sections are read, checked and packed one at a time in file order, and
     each one's u64 bytes are dropped once used, so at most one section's
     u64 bytes are held at a time.  Of two faults, the first in file order
-    is the one reported; the order and LCP checks come last.
+    is the one reported; the order and LCP checks come last.  Those run
+    block by block in rank order, forward direction first, and a held
+    pair's LCP fault is raised at the next ``range_minima`` call, so a
+    fault that any block checked before that call finds is reported
+    instead.
     """
     magic = _read_exact(source, 4, "magic")
     if magic != MAGIC:
@@ -277,10 +283,8 @@ def _check_ensemble(e: SuffixEnsemble, isa: Sequence[int], rmq: RmqStructure) ->
     slow the load, never pass it.
 
     The deep run-boundary pairs, whose windows are equal, are held, and
-    checked together by one ``range_minima`` call per
-    ``_VERIFY_BLOCK // 2`` of them.  Held pairs are checked before a later
-    block's fault is raised, so faults are reported as if each block were
-    checked in full before the next.
+    checked together by one ``range_minima`` call once
+    ``_VERIFY_BLOCK // 2`` or more are held, and after the last block.
     """
     sa = np.asarray(e.sa)
     isa = np.asarray(isa)
@@ -291,25 +295,22 @@ def _check_ensemble(e: SuffixEnsemble, isa: Sequence[int], rmq: RmqStructure) ->
     codes = np.frombuffer(e.text.symbols, dtype=np.uint8)
     windows = _windows(codes)
     shallow = _mostly_shallow(lcp)
-    held: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    held_count = 0
+    held, held_count = [], 0
     for lo in range(1, n, _VERIFY_BLOCK):
-        suffixes = sa[lo:min(lo + _VERIFY_BLOCK, n) + 1]
-        try:
-            if shallow:
-                deep = _check_windows(lo, suffixes, isa, lcp, windows)
-            else:
-                deep = _check_block(lo, suffixes, isa, lcp, codes, windows)
-        except CorruptSectionError:
-            _check_held(held, rmq)
-            raise
-        if deep[0].size:
-            held.append(deep)
-            held_count += deep[0].size
-        if held_count >= _VERIFY_BLOCK // 2:
-            _check_held(held, rmq)
-            held_count = 0
-    _check_held(held, rmq)
+        hi = min(lo + _VERIFY_BLOCK, n)
+        if shallow:
+            deep = _check_windows(lo, sa[lo:hi + 1], isa, lcp, windows)
+        else:
+            deep = _check_block(lo, sa[lo:hi + 1], isa, lcp, codes, windows)
+        held.append(deep)
+        held_count += deep[0].size
+        if held_count and (held_count >= _VERIFY_BLOCK // 2 or hi == n):
+            # range_minima gathers about a quarter faster through intp
+            # positions, which it need not convert first.
+            ranks, starts, ends = (np.concatenate(p, dtype=np.intp) for p in zip(*held))
+            held, held_count = [], 0
+            if (lcp[ranks] != rmq.range_minima(starts, ends) + 1).any():
+                raise CorruptSectionError(_BAD_LCP)
 
 
 def _mostly_shallow(lcp: np.ndarray) -> bool:
@@ -365,11 +366,11 @@ def _check_block(
     """Check the pairs of ranks ``lo .. lo + len(suffixes) - 1``, ``sa[lo:]``.
 
     Raises at a fault of order or of LCP; returns the deep pairs as
-    ``(ranks, starts, ends)`` for :func:`_check_held`.  Blocks of ranks
-    keep the temporaries small whatever n is, and they die at return.
-    ``take`` gathers through the packed ranks and positions as they are,
-    where indexing with ``[]`` would first convert 4-byte ones, at about
-    twice the cost.
+    ``(ranks, starts, ends)``, for :func:`_check_ensemble` to hold.
+    Blocks of ranks keep the temporaries small whatever n is, and they die
+    at return.  ``take`` gathers through the packed ranks and positions as
+    they are, where indexing with ``[]`` would first convert 4-byte ones,
+    at about twice the cost.
     """
     first = codes.take(suffixes)
     # Suffix n has no successor; its clipped read is never used.
@@ -414,21 +415,3 @@ def _shared_bytes(x: np.ndarray) -> np.ndarray:
     takes exactly: its exponent is the bit's index plus one.
     """
     return (np.frexp(x & -x)[1] - 1) >> 3
-
-
-def _check_held(
-    held: list[tuple[np.ndarray, np.ndarray, np.ndarray]], rmq: RmqStructure
-) -> None:
-    """Check held run-boundary pairs ``(ranks, starts, ends)``, then drop them.
-
-    Each ``rmq.array[rank]`` must be one more than the minimum over
-    ``starts..ends``; one ``range_minima`` call answers them all.  Its
-    gathers run about a quarter faster through intp positions, which they
-    need not convert first.
-    """
-    if not held:
-        return
-    ranks, starts, ends = (np.concatenate(part, dtype=np.intp) for part in zip(*held))
-    held.clear()
-    if (np.asarray(rmq.array)[ranks] != rmq.range_minima(starts, ends) + 1).any():
-        raise CorruptSectionError(_BAD_LCP)

@@ -211,6 +211,13 @@ def test_build_failures(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     assert cli.main(["build", str(missing), "-o", str(tmp_path / "y.idx")]) == 3
     assert "error:" in capsys.readouterr().err
+    # The temporary file cannot be made: the message names INDEX.
+    text = tmp_path / "text.txt"
+    text.write_bytes(b"abracadabra")
+    index = tmp_path / "missing-dir" / "x.idx"
+    assert cli.main(["build", str(text), "-o", str(index)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{index}'\n")
 
 
 def expected_tsv_rows(enumerate_positions=False):
