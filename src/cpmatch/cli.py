@@ -429,6 +429,9 @@ def main(argv=None) -> int:
     except (CpmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,14 +11,13 @@ offsets per power-of-two width from 2 to 128, about 7 bytes per element in
 all.  Above them it keeps the leftmost minimum of every ``BLOCK``-wide block
 and one sparse table of positions over the blocks, about
 ``4 * (n / 256) * log2(n / 256)`` bytes.  Values are read through the base
-array.  It answers range minima in O(1).  A threshold scan gallops from its
-anchor through the rest of the anchor's block, in O(log gap) steps for an
-answer ``gap`` positions away; only an answer in another block takes the
-walk over the block table and a scan of that block, O(log n) in all.  Both
-levels are built row by row from contiguous slices of the previous row's
-answers and minima, in O(n) array work, with each answer selected by
-arithmetic rather than by ``np.where``, which costs 10-30x an element-wise
-op on a data-dependent mask.
+array.  It answers range minima in O(1).  A threshold scan gallops outward
+from its anchor over windows of doubling width and halves back, one range
+minimum per step, so an answer ``gap`` positions away costs O(log gap)
+steps at every distance.  Both levels are built row by row from contiguous
+slices of the previous row's answers and minima, in O(n) array work, with
+each answer selected by arithmetic rather than by ``np.where``, which costs
+10-30x an element-wise op on a data-dependent mask.
 """
 
 from __future__ import annotations
@@ -249,131 +248,85 @@ class RmqStructure:
     def psv(self, p: int, d: int, stats: QueryStats | None = None) -> int:
         """Largest ``q < p`` with ``array[q] < d``, or 0 when none exists.
 
-        A scan left from ``p - 1`` through the rest of its block gallops
-        over windows of growing width, so an answer ``g`` positions away
-        costs O(log g) steps.  Only when the block holds none does it walk
-        down the block table to the nearest block whose minimum is below
-        ``d`` and scan that block; O(log n) reads in all.
+        After ``p - 1`` itself it gallops left over the windows of width 2,
+        4, 8, ... that each end where the last began, until one holds a
+        value below ``d`` or would cross position 1.  It then halves back
+        inside that window, or inside what is left of ``1..p - 1``: at each
+        width from half the window's down it skips the window ending at
+        ``q`` when that window lies in the range and its minimum is at least
+        ``d``, so the skipped widths spell out the rest of the gap.  Each
+        window's minimum is one read of a window row, or one uncounted
+        :meth:`_across_blocks` from width ``BLOCK`` on, so an answer ``g``
+        positions away costs O(log g) steps at any distance.
         """
         if not 1 <= p <= self.n + 1:
             raise InvalidPositionError(f"psv position {p} outside 1..{self.n + 1}")
         if stats is not None:
             stats.psv_calls += 1
+        array = self.array
         q = p - 1
-        if q & 255:
-            start = q - (q & 255) + 1
-            q = self._scan_left(q, start, d)
-            if q >= start:
-                return q
-        # Blocks 0..b-1 end at q.  Each level skips 2**k of them when their
-        # minimum is at least d, so the skipped counts spell out the gap.
-        b = q >> 8
-        array = self.array
-        blocks = self._blocks
-        for k in range(b.bit_length() - 1, -1, -1):
-            width = 1 << k
-            if width <= b and array[blocks[k][b - width]] >= d:
-                b -= width
-        if not b:
-            return 0
-        return self._scan_left(b << 8, ((b - 1) << 8) + 1, d)
-
-    def nsv(self, p: int, d: int, stats: QueryStats | None = None) -> int:
-        """Smallest ``q > p`` with ``array[q] < d``, or ``n + 1`` when none.
-
-        The mirror of :meth:`psv`: a galloping scan right from ``p + 1``
-        through the rest of its block, in O(log gap) steps, and only when
-        that finds nothing a walk up the block table and a scan of one block.
-        """
-        if not 0 <= p <= self.n:
-            raise InvalidPositionError(f"nsv position {p} outside 0..{self.n}")
-        if stats is not None:
-            stats.nsv_calls += 1
-        n = self.n
-        q = p + 1
-        if q > n:
-            return q
-        b = (q - 1) >> 8
-        if (q - 1) & 255:
-            end = min((b + 1) << 8, n)
-            q = self._scan_right(q, end, d)
-            if q <= end:
-                return q
-            b += 1
-        # Blocks b.. start at q.
-        array = self.array
-        blocks = self._blocks
-        count = len(blocks[0])
-        for k in range((count - b).bit_length() - 1, -1, -1):
-            width = 1 << k
-            if b + width <= count and array[blocks[k][b]] >= d:
-                b += width
-        if b == count:
-            return n + 1
-        start = (b << 8) + 1
-        return self._scan_right(start, min(start + 255, n), d)
-
-    def _scan_left(self, q: int, start: int, d: int) -> int:
-        """Largest position in ``start..q`` below ``d``, else ``start - 1``.
-
-        ``start <= q`` and ``start..q`` lies in one block.  After ``q``
-        itself it gallops left over the windows of width 2, 4, 8, ... that
-        each end where the last began, until one holds a value below ``d``
-        or would cross ``start``.  It then halves back inside that window,
-        or inside what is left of ``start..q``: at each width from half the
-        window's down it skips the window ending at ``q`` when that window
-        lies in ``start..q`` and its minimum is at least ``d``, so the
-        skipped widths spell out the rest of the gap.  Both phases take
-        O(log gap) steps.
-        """
-        array = self.array
-        if array[q] < d:
+        if not q or array[q] < d:
             return q
         rows = self._rows
+        start = 1
         q -= 1
         k = 1
         while True:
             s = q - (1 << k) + 1
             if s < start:
                 break
-            if array[s + rows[k][s]] < d:
+            # A window of BLOCK or more positions is read across blocks.
+            m = s + rows[k][s] if k < 8 else self._across_blocks(s, q)
+            if array[m] < d:
                 start = s
                 break
             q = s - 1
             k += 1
         for k in range(k - 1, 0, -1):
             s = q - (1 << k) + 1
-            if s >= start and array[s + rows[k][s]] >= d:
-                q = s - 1
+            if s >= start:
+                m = s + rows[k][s] if k < 8 else self._across_blocks(s, q)
+                if array[m] >= d:
+                    q = s - 1
         if q >= start and array[q] >= d:
             q -= 1
         return q
 
-    def _scan_right(self, q: int, end: int, d: int) -> int:
-        """Smallest position in ``q..end`` below ``d``, else ``end + 1``.
+    def nsv(self, p: int, d: int, stats: QueryStats | None = None) -> int:
+        """Smallest ``q > p`` with ``array[q] < d``, or ``n + 1`` when none.
 
-        The mirror of :meth:`_scan_left`: ``q`` first, then galloping right
-        and halving back, in O(log gap) steps.
+        The mirror of :meth:`psv`: ``p + 1`` first, then galloping right
+        until a window holds a value below ``d`` or would cross position
+        ``n``, and halving back, in O(log gap) steps at any distance.
         """
+        if not 0 <= p <= self.n:
+            raise InvalidPositionError(f"nsv position {p} outside 0..{self.n}")
+        if stats is not None:
+            stats.nsv_calls += 1
         array = self.array
-        if array[q] < d:
+        end = self.n
+        q = p + 1
+        if q > end or array[q] < d:
             return q
         rows = self._rows
         q += 1
         k = 1
         while True:
-            width = 1 << k
-            if q + width - 1 > end:
+            e = q + (1 << k) - 1
+            if e > end:
                 break
-            if array[q + rows[k][q]] < d:
-                end = q + width - 1
+            m = q + rows[k][q] if k < 8 else self._across_blocks(q, e)
+            if array[m] < d:
+                end = e
                 break
-            q += width
+            q = e + 1
             k += 1
         for k in range(k - 1, 0, -1):
-            width = 1 << k
-            if q + width - 1 <= end and array[q + rows[k][q]] >= d:
-                q += width
+            e = q + (1 << k) - 1
+            if e <= end:
+                m = q + rows[k][q] if k < 8 else self._across_blocks(q, e)
+                if array[m] >= d:
+                    q = e + 1
         if q <= end and array[q] >= d:
             q += 1
         return q

@@ -220,6 +220,40 @@ def test_build_failures(tmp_path, capsys):
         f"error: [Errno 2] No such file or directory: '{index}'\n")
 
 
+@pytest.mark.parametrize("command, failing", [
+    ("build", "build_index"),
+    ("build", "save_index"),
+    ("query", "load_index"),
+    ("bench", "load_index"),
+    ("verify", "build_index"),
+])
+def test_out_of_memory_is_exit_3(alabar_files, tmp_path, capsys, monkeypatch,
+                                 command, failing):
+    # numpy reports a failed allocation as a MemoryError.  It is one line on
+    # stderr with exit 3, not a traceback with exit 1, which means a
+    # mismatch; a build leaves neither INDEX nor its temporary file.
+    text, idx = alabar_files
+
+    def out_of_memory(*args):
+        for sink in args[1:]:  # save_index(ix, fh) fails part-way
+            sink.write(b"CPMX partial")
+        raise MemoryError
+
+    monkeypatch.setattr(cli, failing, out_of_memory)
+    args = {
+        "build": ["build", str(text), "-o", str(tmp_path / "new.idx")],
+        "query": ["query", str(idx), "--pattern", "a", "--context", "1"],
+        "bench": ["bench", str(idx), "--random", "3", "--csv",
+                  str(tmp_path / "bench.csv")],
+        "verify": ["verify", str(text), "--queries", "3"],
+    }[command]
+    listing = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert cli.main(args) == 3
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert sorted(tmp_path.iterdir()) == listing
+
+
 def expected_tsv_rows(enumerate_positions=False):
     rows = []
     for c, ds, de, count, rep in alabar_data.A_ELL1_MATCHES:

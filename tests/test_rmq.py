@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from array import array as packed_array
@@ -199,24 +200,70 @@ def test_multi_block_arrays_match_scans(n):
 def test_psv_nsv_every_gap_near_block_edges():
     # One value below the threshold, at every gap 1..600 left and right of
     # anchors on both sides of each block edge and of random anchors: the
-    # in-block gallop stops at every window width and halves back to every
-    # offset, and answers in another block take the block-table walk.
-    n = 1500
-    rng = random.Random(22)
-    anchors = {e + side for e in range(BLOCK, n, BLOCK) for side in (0, 1)}
-    anchors |= set(rng.sample(range(1, n + 1), 20))
-    for q in range(1, n + 1):
+    # gallop stops at every window width and halves back to every offset.
+    # Then on 66 blocks, answers 1 to 64 blocks away, at 2**j blocks and one
+    # position either side and at random gaps, from values at block edges
+    # and random ones: windows of BLOCK and more read across blocks.
+    def check(n, q, anchors):
         array = [0] + [5] * n
         array[q] = 2
         s = RmqStructure(array)
         for p in anchors:
             # The scans find nothing on the side away from q.
-            if 1 <= p - q <= 600:
+            if p > q:
                 assert s.psv(p, 3) == naive.scan_psv(array, p, 3) == q, (p, q)
-                assert s.nsv(p, 3) == n + 1
-            elif 1 <= q - p <= 600:
+                assert p > n or s.nsv(p, 3) == n + 1
+            elif p < q:
                 assert s.nsv(p, 3) == naive.scan_nsv(array, n, p, 3) == q, (p, q)
-                assert s.psv(p, 3) == 0
+                assert p < 1 or s.psv(p, 3) == 0
+
+    rng = random.Random(22)
+    n = 1500
+    anchors = {e + side for e in range(BLOCK, n, BLOCK) for side in (0, 1)}
+    anchors |= set(rng.sample(range(1, n + 1), 20))
+    for q in range(1, n + 1):
+        check(n, q, [p for p in anchors if 1 <= abs(p - q) <= 600])
+    n = 66 * BLOCK
+    gaps = {(BLOCK << j) + side for j in range(7) for side in (-1, 0, 1)}
+    gaps |= set(rng.sample(range(1, 64 * BLOCK), 12))
+    for q in (1, BLOCK, BLOCK + 1, n // 2, n - BLOCK, n, *rng.sample(range(1, n), 2)):
+        check(n, q, [p for g in gaps for p in (q - g, q + g) if 0 <= p <= n + 1])
+
+
+class CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_psv_nsv_reads_grow_with_the_gap_not_n():
+    # On 2**12 blocks, with values below the threshold at the last position
+    # of one block and the first of the next, answers g = 1 to 64 blocks
+    # away take at most 12 * (log2 g + 1) array reads: a window narrower
+    # than BLOCK costs one read, a wider one eleven.  A walk over the block
+    # table reads the array once per level, 12 here, whatever the gap, so it
+    # cannot answer across the block edge at g = 1 in 12 reads.
+    n = 1 << 20
+    mid = n // 2
+    array = CountingList([5] * (n + 1))
+    array[0] = 0
+    array[mid] = array[mid + 1] = 2
+    s = RmqStructure(array)
+    rng = random.Random(23)
+    gaps = {(BLOCK << j) + side for j in range(7) for side in (-1, 0, 1)}
+    gaps |= {*range(1, 17), *rng.sample(range(1, 64 * BLOCK), 40)}
+    cases = [(s.psv, mid + 1, mid), (s.nsv, mid, mid + 1)]
+    cases += [(s.psv, mid + 1 + g, mid + 1) for g in gaps]
+    cases += [(s.nsv, mid - g, mid) for g in gaps]
+    for scan, p, q in cases:
+        array.reads = 0
+        assert scan(p, 3) == q, (scan.__name__, p)
+        reads, g = array.reads, abs(p - q)
+        assert reads <= 12 * (math.log2(g) + 1), (scan.__name__, g, reads)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 255, 256, 257, 5000, 70000])
@@ -270,6 +317,16 @@ def test_stats_count_only_public_calls(lcp_struct):
     lcp_struct.rmq(2, 9, stats)
     lcp_struct.psv(14, 2, stats)
     lcp_struct.nsv(13, 2, stats)
+    assert (stats.rmq_calls, stats.psv_calls, stats.nsv_calls) == (1, 1, 1)
+    # Answers four blocks away: the scans read windows across blocks through
+    # uncounted rmq calls.
+    far = [0] + [5] * (10 * BLOCK)
+    far[BLOCK] = far[9 * BLOCK] = 2
+    s = RmqStructure(far)
+    stats = QueryStats()
+    assert s.rmq(1, 10 * BLOCK, stats) == BLOCK
+    assert s.psv(5 * BLOCK, 3, stats) == BLOCK
+    assert s.nsv(5 * BLOCK, 3, stats) == 9 * BLOCK
     assert (stats.rmq_calls, stats.psv_calls, stats.nsv_calls) == (1, 1, 1)
 
 
