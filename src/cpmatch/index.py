@@ -20,9 +20,11 @@ end are padded with terminators.  The index answers it in five moves:
 5. report every piece with its count and a representative occurrence.
 
 A run whose left context crosses the text start is a singleton (the
-terminator occurs at exactly one position).  Step 3 maps it to the rank of
-the suffix starting at the pattern occurrence itself, with offset 0 instead
-of ``ell``, and steps 4 and 5 treat it like any other run.
+terminator occurs at exactly one position).  :func:`query` reads each
+run's context start once and maps such a run itself, not through step 3's
+mappers, to the rank of the suffix starting at the pattern occurrence
+itself, with offset 0 instead of ``ell``; steps 4 and 5 treat it like any
+other run.
 """
 
 from __future__ import annotations
@@ -159,68 +161,51 @@ def assemble_index(
 def map_via_psv_nsv(
     ix: CpmIndex,
     part: tuple[int, int],
-    m: int,
-    ell: int,
+    start: int,
+    t: int,
     stats: QueryStats | None = None,
-) -> tuple[int, int, int]:
-    """Map a step-2 run to its forward interval by anchor and extension.
+) -> tuple[int, int]:
+    """Map an interior step-2 run to its forward interval by anchoring.
 
-    Anchors the forward suffix starting at the run's left context, then
-    widens to every suffix sharing its first ``m + ell`` symbols using
-    threshold scans over the forward LCP array.  A side is scanned only
-    when the LCP entry next to the anchor reaches ``m + ell``; otherwise the
-    anchor is that end of the interval, read in O(1).  Returns ``(ds, de,
-    p_offset)``: the interval and the offset of the pattern in its suffixes,
-    ``ell`` here and 0 for a run crossing the text start (see
-    :func:`emit_boundary_context`).
+    ``start >= 1`` is where the run's left context begins and ``t`` is
+    ``m + ell``.  Anchors the forward suffix starting at ``start``, then
+    widens to every suffix sharing its first ``t`` symbols using threshold
+    scans over the forward LCP array.  A side is scanned only when the LCP
+    entry next to the anchor reaches ``t``; otherwise the anchor is that end
+    of the interval, read in O(1).  Returns the interval ``(ds, de)``.
     """
-    t = m + ell
-    # Where the run's left context begins; at 0 or below it crosses the
-    # text start.  Reading it counts one suffix array access.
-    j = ix.text.n - ix.rev.sa[part[0]] - t + 1
-    if j <= 0:
-        if stats is not None:
-            stats.sa_accesses += 1
-        return emit_boundary_context(ix, part, j + ell, stats)
     if stats is not None:
-        stats.sa_accesses += 2
-    p = ix.isa[j]
+        stats.sa_accesses += 1
+    p = ix.isa[start]
     lcp = ix.fwd.lcp
     ds = p if lcp[p] < t else ix.rmq_fwd.psv(p, t, stats)
     if p == ix.text.n or lcp[p + 1] < t:
         de = p
     else:
         de = ix.rmq_fwd.nsv(p, t, stats) - 1
-    return ds, de, ell
+    return ds, de
 
 
 def map_via_cmin(
     ix: CpmIndex,
     part: tuple[int, int],
-    m: int,
-    ell: int,
+    start: int,
+    t: int,
     stats: QueryStats | None = None,
-) -> tuple[int, int, int]:
-    """Map a step-2 run to its forward interval via the translation array.
+) -> tuple[int, int]:
+    """Map an interior step-2 run to its forward interval via ``c_array``.
 
-    The run element minimizing ``c_array`` owns the lexicographically
-    smallest forward suffix of the interval, so one range minimum plus one
-    inverse lookup yields the start; the size carries over unchanged.
-    Returns ``(ds, de, p_offset)`` as :func:`map_via_psv_nsv` does.
+    Takes the arguments of :func:`map_via_psv_nsv`, ``start >= 1``
+    included, but reads the context start of the run element minimizing
+    ``c_array`` instead: that element owns the lexicographically smallest
+    forward suffix of the interval, so one range minimum plus one inverse
+    lookup yields the start; the size carries over unchanged.
     """
-    n = ix.text.n
-    rev_sa = ix.rev.sa
-    # The run's context start, as in :func:`map_via_psv_nsv`.
-    j = n - rev_sa[part[0]] - (m + ell - 1)
-    if j <= 0:
-        if stats is not None:
-            stats.sa_accesses += 1
-        return emit_boundary_context(ix, part, j + ell, stats)
     i_min = ix.rmq_c.rmq(part[0], part[1], stats)
     if stats is not None:
-        stats.sa_accesses += 3
-    ds = ix.isa[n - rev_sa[i_min] - (m + ell - 1)]
-    return ds, ds + (part[1] - part[0]), ell
+        stats.sa_accesses += 2
+    ds = ix.isa[ix.text.n - ix.rev.sa[i_min] - t + 1]
+    return ds, ds + (part[1] - part[0])
 
 
 def emit_boundary_context(
@@ -229,11 +214,11 @@ def emit_boundary_context(
     pos: int,
     stats: QueryStats | None = None,
 ) -> tuple[int, int, int]:
-    """Step 3 for a run whose left context crosses the text start.
+    """Map a run whose left context crosses the text start, in step 3's place.
 
     Such a run is necessarily a singleton; the pattern occurrence starts at
     ``pos``, and the run maps to the rank of that suffix with offset 0:
-    ``(rank, rank, 0)``.  Both mappers call it through this module's
+    ``(rank, rank, 0)``.  :func:`query` calls it through this module's
     global, under the name the benchmark's tracer patches.
     """
     if part[0] != part[1]:
@@ -274,16 +259,28 @@ def query(
     if rev_range is None:
         return []
 
-    parts = partition_interval(ix.rmq_rev, rev_range[0], rev_range[1], m + ell, stats)
+    t = m + ell
+    parts = partition_interval(ix.rmq_rev, rev_range[0], rev_range[1], t, stats)
     if trace is not None:
         trace.part_starts = [s for s, _ in parts]
 
     out: list[ContextMatch] = []
     depth = m + 2 * ell
+    n = ix.text.n
+    rev_sa = ix.rev.sa
     fwd_sa = ix.fwd.sa
     rmq_fwd = ix.rmq_fwd
     for part in parts:
-        ds, de, p_offset = mapper(ix, part, m, ell, stats)
+        # Where the run's left context begins, one counted access; at 0 or
+        # below it crosses the text start and comes from padding.
+        start = n - rev_sa[part[0]] - t + 1
+        if stats is not None:
+            stats.sa_accesses += 1
+        if start <= 0:
+            ds, de, p_offset = emit_boundary_context(ix, part, start + ell, stats)
+        else:
+            ds, de = mapper(ix, part, start, t, stats)
+            p_offset = ell
         if trace is not None:
             trace.mapped_ranges.append((ds, de))
         # One rank is one piece; splitting it would make no counted call.

@@ -24,9 +24,13 @@ Output is a pure function of the index: saving twice yields identical bytes.
 
 Both directions stream: every section size follows from n and sigma, so
 the header goes first and the sections follow one at a time, in file
-order, and neither side ever seeks.  At most one section's u64 bytes are
-held at a time.  Load checks each section as it arrives, so of two faults
-the first in file order is the one reported.
+order, and neither side ever seeks.  Save holds at most one section's u64
+bytes at a time, load at most two sections' worth: at the ``fwd_isa`` and
+``c_map`` checks the stored section sits beside a u64 copy of the array
+derived again, and :func:`_read_exact` holds a section over
+``_READ_PIECE`` bytes (16 MiB, n above 2**21) twice while it joins the
+pieces.  Load checks each section as it arrives, so of two faults the
+first in file order is the one reported.
 
 Verified load then checks each suffix array's order and each LCP array in
 O(n) array work, with no suffix compared symbol by symbol: rank-adjacent
@@ -158,11 +162,16 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     raise :class:`CorruptSectionError`.
 
     Sections are read, checked and packed one at a time in file order, and
-    each one's u64 bytes are dropped once used, so at most one section's
-    u64 bytes are held at a time.  Of two faults, the first in file order
-    is the one reported; the order and LCP checks come last.  Those run
-    block by block in rank order, forward direction first, and a held
-    pair's LCP fault is raised at the next ``range_minima`` call, so a
+    each one's u64 bytes are dropped once used, but two sections' worth of
+    u64 bytes are held at times: at the ``fwd_isa`` and ``c_map`` checks
+    the section sits beside a u64 copy of the derived array (25.0 and 45.0
+    bytes of heap per text byte live at n = 200,001; at n = 2**16 the
+    section phase peaks at 46.1 while 30.1 are held when the tables are
+    built), and :func:`_read_exact` holds a section over ``_READ_PIECE``
+    bytes twice while it joins the pieces.  Of two faults, the first in
+    file order is the one reported; the order and LCP checks come last.
+    Those run block by block in rank order, forward direction first, and a
+    held pair's LCP fault is raised at the next ``range_minima`` call, so a
     fault that any block checked before that call finds is reported
     instead.
     """

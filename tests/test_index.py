@@ -170,17 +170,22 @@ def test_query_validation(alabar_index):
 
 
 def test_map_via_psv_nsv_examples(alabar_index):
-    assert map_via_psv_nsv(alabar_index, (6, 8), 1, 1) == (13, 15, 1)
-    assert map_via_psv_nsv(alabar_index, (3, 4), 1, 1) == (10, 11, 1)
-    # "$al": the left context crosses the text start, so the run maps to
-    # the rank of the occurrence at position 1 with offset 0.
-    assert map_via_psv_nsv(alabar_index, (2, 2), 1, 1) == (5, 5, 0)
+    # Pattern "a", ell 1: the runs of "la" and "ba" start their left
+    # contexts at positions 2 and 4; the anchor read is one counted access.
+    # The run (2, 2) of "$a" crosses the text start and reaches no mapper:
+    # test_emit_boundary_example and test_query_a_ell1 cover it.
+    stats = QueryStats()
+    assert map_via_psv_nsv(alabar_index, (6, 8), 2, 2, stats) == (13, 15)
+    assert map_via_psv_nsv(alabar_index, (3, 4), 4, 2, stats) == (10, 11)
+    assert stats.sa_accesses == 2
 
 
 def test_map_via_cmin_examples(alabar_index):
-    assert map_via_cmin(alabar_index, (3, 4), 1, 1) == (10, 11, 1)
-    assert map_via_cmin(alabar_index, (9, 9), 1, 1) == (16, 16, 1)
-    assert map_via_cmin(alabar_index, (2, 2), 1, 1) == (5, 5, 0)
+    # The runs of "ba" and "ra"; each maps with two counted accesses.
+    stats = QueryStats()
+    assert map_via_cmin(alabar_index, (3, 4), 4, 2, stats) == (10, 11)
+    assert map_via_cmin(alabar_index, (9, 9), 6, 2, stats) == (16, 16)
+    assert stats.sa_accesses == 4
 
 
 def test_mapping_strategies_agree_on_random_parts():
@@ -204,6 +209,44 @@ def test_emit_boundary_example(alabar_index):
     assert emit_boundary_context(alabar_index, (2, 2), 1, stats) == (5, 5, 0)
     assert stats.sa_accesses == 1
     assert (stats.rmq_calls, stats.psv_calls, stats.nsv_calls) == (0, 0, 0)
+
+
+def test_only_query_decides_the_text_start(monkeypatch):
+    # Mappers see interior runs only (start >= 1), and every boundary call
+    # comes from a run whose left context starts at 0 or below.
+    rng = random.Random(27)
+    calls = {"mapper": 0, "boundary": 0}
+
+    def spy_mapper(fn):
+        def mapped(ix, part, start, t, stats=None):
+            calls["mapper"] += 1
+            assert start >= 1
+            assert start == ix.text.n - ix.rev.sa[part[0]] - t + 1
+            return fn(ix, part, start, t, stats)
+        return mapped
+
+    boundary = index.emit_boundary_context
+
+    def spy_boundary(ix, part, pos, stats=None):
+        # ``pattern`` and ``ell`` are those of the query being answered.
+        calls["boundary"] += 1
+        m = len(pattern)
+        start = ix.text.n - ix.rev.sa[part[0]] - (m + ell) + 1
+        assert start <= 0 and pos == start + ell
+        return boundary(ix, part, pos, stats)
+
+    monkeypatch.setattr(index, "map_via_psv_nsv", spy_mapper(map_via_psv_nsv))
+    monkeypatch.setattr(index, "map_via_cmin", spy_mapper(map_via_cmin))
+    monkeypatch.setattr(index, "emit_boundary_context", spy_boundary)
+    for _ in range(10):
+        t = load_text(naive.random_raw(rng, rng.randint(2, 80), 2))
+        ix = build_index(t)
+        for _ in range(20):
+            pattern = naive.sample_codes(rng, t)
+            ell = rng.randint(0, 12)
+            for strategy in MappingStrategy:
+                query(ix, pattern, ell, strategy=strategy)
+    assert calls["mapper"] and calls["boundary"]
 
 
 def test_emit_boundary_deep_padding(alabar_index):
