@@ -24,10 +24,10 @@ Output is a pure function of the index: saving twice yields identical bytes.
 
 Both directions stream: every section size follows from n and sigma, so
 the header goes first and the sections follow one at a time, in file
-order, and neither side ever seeks.  Save holds at most one section's u64
-bytes at a time, load at most two sections' worth: at the ``fwd_isa`` and
-``c_map`` checks the stored section sits beside a u64 copy of the array
-derived again, and :func:`_read_exact` holds a section over
+order, and neither side ever seeks.  Each holds at most one section's u64
+bytes at a time: load compares the stored ``fwd_isa`` and ``c_map``
+sections with the packed arrays it derives again, through one bool per
+rank.  The exception is :func:`_read_exact`, which holds a section over
 ``_READ_PIECE`` bytes (16 MiB, n above 2**21) twice while it joins the
 pieces.  Load checks each section as it arrives, so of two faults the
 first in file order is the one reported.
@@ -132,6 +132,19 @@ def _c_map_section(c_array: Sequence[int]) -> np.ndarray:
     return c_map
 
 
+def _c_map_matches(c_map: np.ndarray, c_array: Sequence[int], undefined: int) -> bool:
+    """Whether the ``c_map`` section holds ``c_array``.
+
+    ``undefined`` is the rank whose entry is undefined, the rank of the
+    reverse text's suffix n; the section stores it as 2**64 - 1.  A u64
+    and a packed int compare exactly: numpy 2 has a mixed-sign loop, and
+    numpy 1's float64 is exact below 2**53, which no rank reaches.
+    """
+    same = c_map == np.asarray(c_array)[1:]
+    same[undefined - 1] = c_map[undefined - 1] == _UNDEF_ON_DISK
+    return bool(same.all())
+
+
 def _read_exact(source: BinaryIO, size: int, what: str) -> bytes:
     pieces = []
     while size:
@@ -162,14 +175,14 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     raise :class:`CorruptSectionError`.
 
     Sections are read, checked and packed one at a time in file order, and
-    each one's u64 bytes are dropped once used, but two sections' worth of
-    u64 bytes are held at times: at the ``fwd_isa`` and ``c_map`` checks
-    the section sits beside a u64 copy of the derived array (25.0 and 45.0
-    bytes of heap per text byte live at n = 200,001; at n = 2**16 the
-    section phase peaks at 46.1 while 30.1 are held when the tables are
-    built), and :func:`_read_exact` holds a section over ``_READ_PIECE``
-    bytes twice while it joins the pieces.  Of two faults, the first in
-    file order is the one reported; the order and LCP checks come last.
+    each one's u64 bytes are dropped once used.  The ``fwd_isa`` and
+    ``c_map`` sections are compared with the packed arrays derived again,
+    through one bool per rank and no u64 copy: at n = 2**16 the section
+    phase peaks 9.0 bytes of heap per text byte above what is held when the
+    tables are built.  :func:`_read_exact` holds a section over
+    ``_READ_PIECE`` bytes twice while it joins the pieces.  Of two faults,
+    the first in file order is the one reported; the order and LCP checks
+    come last.
     Those run block by block in rank order, forward direction first, and a
     held pair's LCP fault is raised at the next ``range_minima`` call, so a
     fault that any block checked before that call finds is reported
@@ -210,13 +223,15 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     # The rank checks run even without verify: ranks index the other
     # arrays, and every value must fit the tables built below.
     sa, isa = _suffix_array(next(sections), n)
-    if not np.array_equal(next(sections), np.asarray(isa)[1:].astype("<u8")):
+    # The stored copies are compared with the packed arrays themselves,
+    # one bool per rank and no u64 copy.
+    if not np.array_equal(next(sections), np.asarray(isa)[1:]):
         raise CorruptSectionError(_NOT_INVERSE)
     lcp = _rank_section(next(sections), 0, n, _BAD_LCP)
     sa_rev, isa_rev = _suffix_array(next(sections), n)
     lcp_rev = _rank_section(next(sections), 0, n, _BAD_LCP)
     c_array = translate_ranks(isa, sa_rev)
-    if not np.array_equal(next(sections), _c_map_section(c_array)):
+    if not _c_map_matches(next(sections), c_array, isa_rev[n]):
         raise CorruptSectionError(_BAD_C_MAP)
     if source.read(1):
         raise CorruptSectionError("stream holds bytes after the last section")

@@ -18,6 +18,11 @@ steps at every distance.  Both levels are built row by row from contiguous
 slices of the previous row's answers and minima, in O(n) array work, with
 each answer selected by arithmetic rather than by ``np.where``, which costs
 10-30x an element-wise op on a data-dependent mask.
+
+Interval partitioning splits a range at every value below a threshold in
+one in-order walk.  It reads each searched range's minimum itself, from the
+window rows as :meth:`RmqStructure.rmq` does or across blocks for a range
+of ``BLOCK`` or more, and counts one rmq per range it searches.
 """
 
 from __future__ import annotations
@@ -346,9 +351,15 @@ def partition_interval(
     Returns maximal consecutive subintervals covering the range, in order:
     the first starts at ``lo`` and each further start is a position in
     ``(lo..hi]`` whose array value falls below the threshold.  A one-rank
-    range returns at once, with no rmq call.  Otherwise it runs O(k) counted
-    rmq calls for k returned parts (at most 2k - 1), walking the splits in
-    order from one stack, so no sort is needed.
+    range returns at once, with no rmq call.  Otherwise it searches O(k)
+    ranges for k returned parts (at most 2k - 1) in one in-order walk: each
+    split found is stacked with the end of its range while its left side is
+    searched, and popping it closes the current part and opens its right
+    side, so no sort is needed.  Each range's leftmost minimum is read in
+    place, as :meth:`RmqStructure.rmq` reads it: a window narrower than
+    ``BLOCK`` from two window-row answers, ties going left, and a wider one
+    through :meth:`RmqStructure._across_blocks`.  ``stats.rmq_calls`` gains
+    one per range searched.
     """
     if threshold < 1 or not 1 <= lo <= hi <= struct.n:
         raise InvalidRangeError(
@@ -357,24 +368,43 @@ def partition_interval(
     if lo == hi:
         return [(lo, hi)]
     array = struct.array
-    rmq = struct.rmq
+    rows = struct._rows
+    across = struct._across_blocks
     parts = []
     start = lo
-    # A non-empty range ``(s, e)`` is still to be searched; ``(p, None)`` is
-    # a split at ``p``, popped only after every split left of it.
-    pending: list[tuple[int, int | None]] = [(lo + 1, hi)]
-    while pending:
-        s, e = pending.pop()
-        if e is None:
-            parts.append((start, s - 1))
-            start = s
-        else:
-            p = rmq(s, e, stats)
+    searched = 0
+    s = lo + 1
+    e = hi
+    # ``(p, e)``: a split at ``p`` whose right side ``p + 1 .. e`` is still
+    # to be searched once every split left of it has been found.
+    splits: list[tuple[int, int]] = []
+    while True:
+        if s <= e:
+            searched += 1
+            w = e - s + 1
+            if w == 1:
+                p = s
+            elif w < BLOCK:
+                k = w.bit_length() - 1
+                row = rows[k]
+                p = s + row[s]
+                b = e + 1 - (1 << k)
+                q = b + row[b]
+                if array[q] < array[p]:
+                    p = q
+            else:
+                p = across(s, e)
             if array[p] < threshold:
-                if p < e:
-                    pending.append((p + 1, e))
-                pending.append((p, None))
-                if s < p:
-                    pending.append((s, p - 1))
+                splits.append((p, e))
+                e = p - 1
+                continue
+        if not splits:
+            break
+        p, e = splits.pop()
+        parts.append((start, p - 1))
+        start = p
+        s = p + 1
     parts.append((start, hi))
+    if stats is not None:
+        stats.rmq_calls += searched
     return parts

@@ -381,6 +381,45 @@ def test_partition_matches_sorted_reference():
                         assert got_stats.rmq_calls == 0
 
 
+def test_partition_across_many_blocks():
+    # On 66 blocks, ranges that start and end at a block edge or one
+    # position either side and span 1 to 64 blocks, at thresholds that
+    # split no position, about one in 500 (so the ranges between splits
+    # are mostly wider than BLOCK) and about 90% of them: the same parts
+    # and rmq count as the reference, whether the walk searches ranges
+    # narrower than BLOCK or reads wider ones across blocks.  Half of the
+    # rare low values sit where a range ends or just after one starts, so
+    # that wide searched ranges hold their only one at their first or last
+    # position.
+    rng = random.Random(28)
+    n = 66 * BLOCK
+    array = [0] + [1 if rng.random() < 0.001 else rng.randint(2, 100)
+                   for _ in range(n)]
+    firsts = (0, 1, 2, *rng.sample(range(3, 33), 2))
+    for first in firsts[1:]:
+        array[first * BLOCK + rng.randint(1, 3)] = 1
+    for edge in rng.sample(range(4, 66), 12):
+        array[edge * BLOCK + rng.randint(-1, 1)] = 1
+    s = RmqStructure(array)
+    spans = {1, 2, 3, 4, 8, 16, 32, 63, 64, *rng.sample(range(5, 63), 3)}
+    for first in firsts:
+        for span in spans:
+            if first + span > 66:
+                continue
+            for a in (-1, 0, 1):
+                for b in (-1, 0, 1):
+                    lo = max(first * BLOCK + 1 + a, 1)
+                    hi = min((first + span) * BLOCK + b, n)
+                    for threshold in (1, 2, 91):
+                        stats = QueryStats()
+                        got = partition_interval(s, lo, hi, threshold, stats)
+                        ref, calls = naive.counted_partition_reference(
+                            array, lo, hi, threshold
+                        )
+                        assert got == ref, (lo, hi, threshold)
+                        assert stats.rmq_calls == calls, (lo, hi, threshold)
+
+
 def test_partition_validation(lcp_struct):
     with pytest.raises(InvalidRangeError):
         partition_interval(lcp_struct, 5, 4, 2)
