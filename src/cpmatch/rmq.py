@@ -11,8 +11,9 @@ offsets per power-of-two width from 2 to 128, about 7 bytes per element in
 all.  Above them it keeps the leftmost minimum of every ``BLOCK``-wide block
 and one sparse table of positions over the blocks, about
 ``4 * (n / 256) * log2(n / 256)`` bytes.  Values are read through the base
-array.  It answers range minima in O(1).  A threshold scan gallops outward
-from its anchor over windows of doubling width and halves back, one range
+array.  It answers range minima in O(1).  Previous- and next-smaller-value
+queries are one threshold scan in two directions: it gallops outward from
+its anchor over windows of doubling width and halves back, one range
 minimum per step, so an answer ``gap`` positions away costs O(log gap)
 steps at every distance.  Both levels are built row by row from contiguous
 slices of the previous row's answers and minima, in O(n) array work, with
@@ -255,87 +256,74 @@ class RmqStructure:
     def psv(self, p: int, d: int, stats: QueryStats | None = None) -> int:
         """Largest ``q < p`` with ``array[q] < d``, or 0 when none exists.
 
-        After ``p - 1`` itself it gallops left over the windows of width 2,
-        4, 8, ... that each end where the last began, until one holds a
-        value below ``d`` or would cross position 1.  It then halves back
-        inside that window, or inside what is left of ``1..p - 1``: at each
-        width from half the window's down it skips the window ending at
-        ``q`` when that window lies in the range and its minimum is at least
-        ``d``, so the skipped widths spell out the rest of the gap.  Each
-        window's minimum is one read of a window row, or one uncounted
-        :meth:`_across_blocks` from width ``BLOCK`` on, so an answer ``g``
-        positions away costs O(log g) steps at any distance.
+        One leftward :meth:`_scan` from ``p - 1`` over the ``p - 1``
+        positions down to 1, in O(log (p - q)) steps.
         """
         if not 1 <= p <= self.n + 1:
             raise InvalidPositionError(f"psv position {p} outside 1..{self.n + 1}")
         if stats is not None:
             stats.psv_calls += 1
-        array = self.array
-        q = p - 1
-        if not q or array[q] < d:
-            return q
-        rows = self._rows
-        start = 1
-        q -= 1
-        k = 1
-        while True:
-            s = q - (1 << k) + 1
-            if s < start:
-                break
-            # A window of BLOCK or more positions is read across blocks.
-            m = s + rows[k][s] if k < 8 else self._across_blocks(s, q)
-            if array[m] < d:
-                start = s
-                break
-            q = s - 1
-            k += 1
-        for k in range(k - 1, 0, -1):
-            s = q - (1 << k) + 1
-            if s >= start:
-                m = s + rows[k][s] if k < 8 else self._across_blocks(s, q)
-                if array[m] >= d:
-                    q = s - 1
-        if q >= start and array[q] >= d:
-            q -= 1
-        return q
+        return self._scan(p - 1, d, -1, p - 1)
 
     def nsv(self, p: int, d: int, stats: QueryStats | None = None) -> int:
         """Smallest ``q > p`` with ``array[q] < d``, or ``n + 1`` when none.
 
-        The mirror of :meth:`psv`: ``p + 1`` first, then galloping right
-        until a window holds a value below ``d`` or would cross position
-        ``n``, and halving back, in O(log gap) steps at any distance.
+        One rightward :meth:`_scan` from ``p + 1`` over the ``n - p``
+        positions up to n, in O(log (q - p)) steps.
         """
         if not 0 <= p <= self.n:
             raise InvalidPositionError(f"nsv position {p} outside 0..{self.n}")
         if stats is not None:
             stats.nsv_calls += 1
+        return self._scan(p + 1, d, 1, self.n - p)
+
+    def _scan(self, q: int, d: int, step: int, room: int) -> int:
+        """First position from ``q`` on, by ``step``, whose value is below ``d``.
+
+        ``step`` is -1 to scan left and 1 to scan right, and ``room`` counts
+        the positions from ``q`` to the array's end that way (position 1 or
+        n).  When none of them holds a value below ``d``, the answer is the
+        position one past that end, 0 or ``n + 1``.  After ``q`` itself the
+        scan gallops over the windows of width 2, 4, 8, ..., each just past
+        the last in the scan's direction, until one holds a value below
+        ``d`` or would leave the room.  It then halves back inside that
+        window, or inside what is left of the room: at each width from half
+        the window's down it skips the window that starts at ``q`` in the
+        scan's direction when that window fits the room and its minimum is
+        at least ``d``, so the skipped widths spell out the rest of the gap.
+        Each window's minimum is one read of a window row, or one uncounted
+        :meth:`_across_blocks` from width ``BLOCK`` on, so an answer ``g``
+        positions away costs O(log g) steps at any distance.
+        """
         array = self.array
-        end = self.n
-        q = p + 1
-        if q > end or array[q] < d:
+        if not room or array[q] < d:
             return q
         rows = self._rows
-        q += 1
+        left = step < 0
+        q += step
+        room -= 1
         k = 1
-        while True:
-            e = q + (1 << k) - 1
-            if e > end:
-                break
-            m = q + rows[k][q] if k < 8 else self._across_blocks(q, e)
+        while (1 << k) <= room:
+            w = 1 << k
+            lo = q - w + 1 if left else q
+            # A window of BLOCK or more positions is read across blocks.
+            m = lo + rows[k][lo] if k < 8 else self._across_blocks(lo, lo + w - 1)
             if array[m] < d:
-                end = e
+                room = w
                 break
-            q = e + 1
+            q += step * w
+            room -= w
             k += 1
         for k in range(k - 1, 0, -1):
-            e = q + (1 << k) - 1
-            if e <= end:
-                m = q + rows[k][q] if k < 8 else self._across_blocks(q, e)
+            w = 1 << k
+            if w <= room:
+                lo = q - w + 1 if left else q
+                m = lo + rows[k][lo] if k < 8 else self._across_blocks(lo, lo + w - 1)
                 if array[m] >= d:
-                    q = e + 1
-        if q <= end and array[q] >= d:
-            q += 1
+                    q += step * w
+                    room -= w
+        if room and array[q] >= d:
+            q += step
         return q
 
 

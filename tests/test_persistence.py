@@ -131,6 +131,19 @@ def test_save_holds_one_section_at_a_time(index_2_16):
     assert peak <= 10 * n
 
 
+#: Per text byte, the most a load may peak over each section's interval,
+#: from its read to the next section's (the last: to assemble_index), above
+#: what was held when its read began, in file order: 1 B/B over the most
+#: measured on the three texts of the test below, in either verify mode.
+#: An interval holds its u64 section beside what it makes and keeps: a
+#: suffix array's, its packed array and inverse (21.07 B/B measured), an
+#: LCP's, its packed array (12.01), and rev_lcp's, c_array too (16.01).
+#: The fwd_isa and c_map checks compare the section with the packed array
+#: through one bool per rank (10.03 each), where a u64 copy of the derived
+#: array would add 8.
+SECTION_BOUNDS = (1, 11, 22, 11, 13, 22, 17, 11)
+
+
 def test_load_holds_one_section_at_a_time(index_2_16, monkeypatch):
     # Load reads, checks and packs the eight u64 sections one at a time
     # before it calls assemble_index.  At the fwd_isa and c_map checks it
@@ -139,38 +152,70 @@ def test_load_holds_one_section_at_a_time(index_2_16, monkeypatch):
     # call at 2^16 (8.25 on the binary text at 2^18); a u64 copy of the
     # derived array would add 8.  The phase peaks below
     # the 47.5 B/B the loaded index retains, so only the peak recorded at
-    # that call sees it.  The rest of the load peaks higher: the table
-    # builds at 14.9 B/B above what is retained, and a verified load also
-    # holds the verify temporaries, which grow with the verify block and
-    # not with n.  The text over 26 letters has no LCP of 8 or more, so its
-    # verified load gathers a window for every rank.  On the binary text at
-    # n = 2^18 nearly every run-boundary pair shares 8 symbols and about
-    # half the pairs are such: its verified load reads 17.3 B/B, and 49.6
-    # if the held pairs were checked only at the end.  It is not added at
-    # 2^16, where the verify block's temporaries, which do not shrink with
-    # n, already read 32.9 B/B.
+    # that call sees it.  Less is held at the earlier checks than at that
+    # call, so a copy there shows only in its own section's interval: a
+    # spy on _read_exact records what is held and the peak since the last
+    # section read as each section is read, and resets the peak; each
+    # interval is bounded by SECTION_BOUNDS.  The whole load's peak is the
+    # highest of these and the final one.  The rest of the load peaks
+    # higher: the table builds at 14.9 B/B above what is retained, and a
+    # verified load also holds the verify temporaries, which grow with the
+    # verify block and not with n.  The text over 26 letters has no LCP of
+    # 8 or more, so its verified load gathers a window for every rank.  On
+    # the binary text at n = 2^18 nearly every run-boundary pair shares 8
+    # symbols and about half the pairs are such: its verified load reads
+    # 17.3 B/B, and 49.6 if the held pairs were checked only at the end.  It
+    # is not added at 2^16, where the verify block's temporaries, which do
+    # not shrink with n, already read 32.9 B/B.
     sigma_26 = build_index(load_text(generate_repetitive((1 << 16) - 1, 0, 0.0, 1,
                                                          sigma=26)))
     binary = build_index(load_text(naive.random_raw(random.Random(11), 2**18 - 1, 2)))
     assemble = persistence.assemble_index
+    read_exact = persistence._read_exact
     above_held = []
+    # (held, peak since the previous mark) at each section read and at
+    # assemble_index.
+    marks = []
+
+    def mark():
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+
+    def recorded_read(source, size, what):
+        if what.startswith("section ") and what != "section table":
+            mark()
+        return read_exact(source, size, what)
 
     def recorded(*args):
-        held, peak = tracemalloc.get_traced_memory()
-        above_held.append(peak - held)
+        mark()
+        held = marks[-1][0]
+        above_held.append(max(peak for _, peak in marks) - held)
         return assemble(*args)
 
+    monkeypatch.setattr(persistence, "_read_exact", recorded_read)
     monkeypatch.setattr(persistence, "assemble_index", recorded)
     for built, verified_bound in ((index_2_16, 32), (sigma_26, 32), (binary, 24)):
         n = built.text.n
         blob = save_bytes(built)
         for verify, bound in ((True, verified_bound), (False, 16)):
             above_held.clear()
-            ix, peak, retained = traced_peak(
-                lambda: load_index(io.BytesIO(blob), verify=verify))
+            marks.clear()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                ix = load_index(io.BytesIO(blob), verify=verify)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peak = max(peak, *(p for _, p in marks)) - before
+            retained -= before
             assert ix.fwd.sa == built.fwd.sa
             assert above_held[0] <= 10 * n, (n, verify)
             assert peak - retained <= bound * n, (n, verify)
+            sections = [peak - held for (held, _), (_, peak) in zip(marks, marks[1:])]
+            assert len(sections) == len(SECTION_BOUNDS)
+            for idx, (above, limit) in enumerate(zip(sections, SECTION_BOUNDS)):
+                assert above <= limit * n, (n, verify, idx, above / n)
 
 
 @pytest.mark.parametrize("raw, bound", [
@@ -465,6 +510,42 @@ def test_forged_huge_n_fails_cleanly(tmp_path, capsys):
         load_index(fh)
     assert cli.main(["query", str(forged), "--pattern", "a", "--context", "1"]) == 3
     assert capsys.readouterr().err.startswith("error: truncated stream")
+
+
+def test_multi_piece_sections_are_held_once(index_2_16, monkeypatch, tmp_path):
+    # With 4 KiB pieces each 512 KiB rank section of a 2^16 index takes 128
+    # reads, the first into the section's buffer and the rest appended to
+    # it.  With the 16 MiB pieces of a real load, sections take more than
+    # one read only above n = 2^21, which no other test reaches.
+    piece = 4096
+    monkeypatch.setattr(persistence, "_READ_PIECE", piece)
+    blob = save_bytes(index_2_16)
+    path = tmp_path / "pieces.idx"
+    path.write_bytes(blob)
+    with open(path, "rb") as fh:
+        ix = load_index(fh)
+    for field in ("isa", "c_array"):
+        assert getattr(ix, field) == getattr(index_2_16, field)
+    for direction in ("fwd", "rev"):
+        for field in ("sa", "lcp"):
+            got = getattr(getattr(ix, direction), field)
+            assert got == getattr(getattr(index_2_16, direction), field)
+    assert ix.text.symbols == index_2_16.text.symbols
+    assert save_bytes(ix) == blob
+    # Cuts inside the first piece and inside a later one of fwd_sa, and of
+    # the last section.
+    fwd_sa = struct.unpack_from("<Q", blob, 24 + 2 * 16)[0]
+    for cut in (fwd_sa + 100, fwd_sa + 5 * piece + 100, len(blob) - 1):
+        for verify in (True, False):
+            with pytest.raises(CorruptSectionError, match="truncated stream"):
+                load_index(io.BytesIO(blob[:cut]), verify=verify)
+    # The section is held once, beside the piece being appended and the
+    # buffer's slack (1.11x measured); a join of the pieces held 2.03x.
+    size = 1 << 20
+    source = io.BytesIO(bytes(range(256)) * (size // 256))
+    data, peak, _ = traced_peak(lambda: persistence._read_exact(source, size, "x"))
+    assert len(data) == size
+    assert peak <= 1.25 * size
 
 
 def test_swapped_symbol_buckets_caught_by_verify(monkeypatch):
