@@ -28,9 +28,9 @@ order, and neither side ever seeks.  Each holds at most one section's u64
 bytes at a time: load compares the stored ``fwd_isa`` and ``c_map``
 sections with the packed arrays it derives again, through one bool per
 rank, and :func:`_read_exact` reads a section over ``_READ_PIECE`` bytes
-(16 MiB, n above 2**21) in pieces that grow one buffer, never joined into
-a second copy.  Load checks each section as it arrives, so of two faults
-the first in file order is the one reported.
+(16 MiB, n above 2**21) in pieces into one array grown in place, never
+joined into a second copy.  Load checks each section as it arrives, so of
+two faults the first in file order is the one reported.
 
 Verified load then checks each suffix array's order and each LCP array in
 O(n) array work, with no suffix compared symbol by symbol: rank-adjacent
@@ -145,28 +145,26 @@ def _c_map_matches(c_map: np.ndarray, c_array: Sequence[int], undefined: int) ->
     return bool(same.all())
 
 
-def _read_exact(source: BinaryIO, size: int, what: str) -> bytes | bytearray:
+def _read_exact(source: BinaryIO, size: int, what: str) -> np.ndarray:
     """``size`` bytes of ``source``, read at most ``_READ_PIECE`` at a time.
 
-    Up to ``_READ_PIECE`` bytes are one read, returned as read.  A larger
-    section is read into one ``bytearray``: the first piece in place, and
-    each later piece appended, so the section is held once, beside at most
-    the piece being appended (1.17x a 17.6 MB section, 1.11x a 1 MiB one in
-    4 KiB pieces, under tracemalloc).  No read asks for more than
-    ``_READ_PIECE`` bytes, so memory grows only with the bytes present.
+    Every section is read into one uninitialised byte array, so a section
+    of one piece costs one copy out of ``source``, as a plain ``read`` does.
+    A larger one grows that array in place by ``ndarray.resize`` before each
+    later piece, so it is held once (1.0x a 17.6 MB section under
+    tracemalloc).  A short read is followed by another until the stream
+    ends.  No read asks for more than ``_READ_PIECE`` bytes, so memory grows
+    only with the bytes present.
     """
-    if size <= _READ_PIECE:
-        data = source.read(size)
-    else:
-        data = bytearray(_READ_PIECE)
-        got = source.readinto(data)
-        del data[got:]
-        while got and len(data) < size:
-            piece = source.read(min(size - len(data), _READ_PIECE))
-            got = len(piece)
-            data += piece
-    if len(data) < size:
-        raise CorruptSectionError(f"truncated stream while reading {what}")
+    data = np.empty(min(size, _READ_PIECE), np.uint8)
+    got = 0
+    while got < size:
+        if got == len(data):
+            data.resize(min(size, got + _READ_PIECE))
+        read = source.readinto(data[got:])
+        if not read:
+            raise CorruptSectionError(f"truncated stream while reading {what}")
+        got += read
     return data
 
 
@@ -193,16 +191,15 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
     ``c_map`` sections are compared with the packed arrays derived again,
     through one bool per rank and no u64 copy: at n = 2**16 the section
     phase peaks 9.0 bytes of heap per text byte above what is held when the
-    tables are built.  A section over ``_READ_PIECE`` bytes is read in
-    pieces into one buffer, held once.  Of two faults,
-    the first in file order is the one reported; the order and LCP checks
-    come last.
+    tables are built.  Each section is read into one buffer, in pieces of
+    at most ``_READ_PIECE`` bytes, and held once.  Of two faults, the first
+    in file order is the one reported; the order and LCP checks come last.
     Those run block by block in rank order, forward direction first, and a
     held pair's LCP fault is raised at the next ``range_minima`` call, so a
     fault that any block checked before that call finds is reported
     instead.
     """
-    magic = _read_exact(source, 4, "magic")
+    magic = bytes(_read_exact(source, 4, "magic"))
     if magic != MAGIC:
         raise BadMagicError(f"expected {MAGIC!r}, found {magic!r}")
     (version,) = struct.unpack("<I", _read_exact(source, 4, "version"))
@@ -220,7 +217,7 @@ def load_index(source: BinaryIO, verify: bool = True) -> CpmIndex:
             raise CorruptSectionError(f"section {idx} has inconsistent extent")
         offset += size
     sections = (
-        np.frombuffer(_read_exact(source, size, f"section {idx}"), dtype="<u8")
+        _read_exact(source, size, f"section {idx}").view("<u8")
         for idx, size in enumerate(sizes)
     )
 

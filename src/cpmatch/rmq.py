@@ -81,6 +81,12 @@ BLOCK = 1 << 8
 #: narrower than ``BLOCK``.
 _WINDOW_LEVELS = 7
 
+#: Per window width 2**k, for a scan to the left and one to the right: the
+#: offset from the scan's position to the window's low end, and from that
+#: low end to the scan's next position, just past the window.
+_LEFT = (tuple(1 - (1 << k) for k in range(64)), (-1,) * 64)
+_RIGHT = ((0,) * 64, tuple(1 << k for k in range(64)))
+
 
 def _doubling(row: np.ndarray, minima: np.ndarray, levels: int, relative: bool):
     """Yield rows 1..``levels`` of a leftmost-minimum sparse table.
@@ -293,38 +299,39 @@ class RmqStructure:
         at least ``d``, so the skipped widths spell out the rest of the gap.
         Each window's minimum is one read of a window row, or one uncounted
         :meth:`_across_blocks` from width ``BLOCK`` on, so an answer ``g``
-        positions away costs O(log g) steps at any distance.
+        positions away costs O(log g) steps at any distance.  The direction
+        is looked up once, as the ``_LEFT`` or ``_RIGHT`` offsets that place
+        each window beside ``q`` and step past it, so no step branches on it.
         """
         array = self.array
         if not room or array[q] < d:
             return q
         rows = self._rows
-        left = step < 0
+        low, past = _LEFT if step < 0 else _RIGHT
         q += step
         room -= 1
         k = 1
-        while (1 << k) <= room:
-            w = 1 << k
-            lo = q - w + 1 if left else q
+        w = 2
+        while w <= room:
+            lo = q + low[k]
             # A window of BLOCK or more positions is read across blocks.
             m = lo + rows[k][lo] if k < 8 else self._across_blocks(lo, lo + w - 1)
             if array[m] < d:
                 room = w
                 break
-            q += step * w
+            q = lo + past[k]
             room -= w
             k += 1
+            w += w
         for k in range(k - 1, 0, -1):
             w = 1 << k
             if w <= room:
-                lo = q - w + 1 if left else q
+                lo = q + low[k]
                 m = lo + rows[k][lo] if k < 8 else self._across_blocks(lo, lo + w - 1)
                 if array[m] >= d:
-                    q += step * w
+                    q = lo + past[k]
                     room -= w
-        if room and array[q] >= d:
-            q += step
-        return q
+        return q + step if room and array[q] >= d else q
 
 
 def partition_interval(

@@ -133,15 +133,17 @@ def test_save_holds_one_section_at_a_time(index_2_16):
 
 #: Per text byte, the most a load may peak over each section's interval,
 #: from its read to the next section's (the last: to assemble_index), above
-#: what was held when its read began, in file order: 1 B/B over the most
-#: measured on the three texts of the test below, in either verify mode.
-#: An interval holds its u64 section beside what it makes and keeps: a
-#: suffix array's, its packed array and inverse (21.07 B/B measured), an
-#: LCP's, its packed array (12.01), and rev_lcp's, c_array too (16.01).
-#: The fwd_isa and c_map checks compare the section with the packed array
-#: through one bool per rank (10.03 each), where a u64 copy of the derived
-#: array would add 8.
-SECTION_BOUNDS = (1, 11, 22, 11, 13, 22, 17, 11)
+#: what was held when its read began, in file order: the most measured on
+#: the three texts of the test below, in either verify mode, rounded up,
+#: plus 3 B/B for numpy's temporaries, which may differ by version (the
+#: figures are from numpy 2.4 on CPython 3.11).  An interval holds its u64
+#: section beside what it makes and keeps: a suffix array's, its packed
+#: array and inverse (21.07 B/B measured), an LCP's, its packed array
+#: (12.01), and rev_lcp's, c_array too (16.01).  The fwd_isa and c_map
+#: checks compare the section with the packed array through one bool per
+#: rank (10.03 each), where a u64 copy of the derived array reads 17.02,
+#: over the 14 allowed.
+SECTION_BOUNDS = (4, 14, 25, 14, 16, 25, 20, 14)
 
 
 def test_load_holds_one_section_at_a_time(index_2_16, monkeypatch):
@@ -514,9 +516,9 @@ def test_forged_huge_n_fails_cleanly(tmp_path, capsys):
 
 def test_multi_piece_sections_are_held_once(index_2_16, monkeypatch, tmp_path):
     # With 4 KiB pieces each 512 KiB rank section of a 2^16 index takes 128
-    # reads, the first into the section's buffer and the rest appended to
-    # it.  With the 16 MiB pieces of a real load, sections take more than
-    # one read only above n = 2^21, which no other test reaches.
+    # reads into one array, grown in place before each read after the
+    # first.  With the 16 MiB pieces of a real load, sections take more
+    # than one read only above n = 2^21, which no other test reaches.
     piece = 4096
     monkeypatch.setattr(persistence, "_READ_PIECE", piece)
     blob = save_bytes(index_2_16)
@@ -539,13 +541,33 @@ def test_multi_piece_sections_are_held_once(index_2_16, monkeypatch, tmp_path):
         for verify in (True, False):
             with pytest.raises(CorruptSectionError, match="truncated stream"):
                 load_index(io.BytesIO(blob[:cut]), verify=verify)
-    # The section is held once, beside the piece being appended and the
-    # buffer's slack (1.11x measured); a join of the pieces held 2.03x.
+    # The section is held once (1.0x measured); a join of the pieces held
+    # 2.03x.
     size = 1 << 20
     source = io.BytesIO(bytes(range(256)) * (size // 256))
     data, peak, _ = traced_peak(lambda: persistence._read_exact(source, size, "x"))
     assert len(data) == size
     assert peak <= 1.25 * size
+
+
+class Trickle(io.BytesIO):
+    """A stream whose reads return at most 1000 bytes each, as a pipe may."""
+
+    def read(self, size=-1):
+        return super().read(1000 if size < 0 else min(size, 1000))
+
+    def readinto(self, buffer):
+        with memoryview(buffer)[:1000] as view:
+            return super().readinto(view)
+
+
+def test_short_reads_are_read_on(index_2_16):
+    # A short read is not the end of the stream: each section, of one piece
+    # or more, is read on until it is whole or the stream ends.
+    blob = save_bytes(index_2_16)
+    assert save_bytes(load_index(Trickle(blob))) == blob
+    with pytest.raises(CorruptSectionError, match="truncated stream"):
+        load_index(Trickle(blob[:-1]))
 
 
 def test_swapped_symbol_buckets_caught_by_verify(monkeypatch):
