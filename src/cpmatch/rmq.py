@@ -21,9 +21,13 @@ each answer selected by arithmetic rather than by ``np.where``, which costs
 10-30x an element-wise op on a data-dependent mask.
 
 Interval partitioning splits a range at every value below a threshold in
-one in-order walk.  It reads each searched range's minimum itself, from the
+one in-order walk.  Before it searches a range it probes the range's first
+position, which the walk reaches only once every split left of it is
+taken: a value below the threshold there is the next split, taken with
+that one read.  Otherwise it reads the range's minimum itself, from the
 window rows as :meth:`RmqStructure.rmq` does or across blocks for a range
-of ``BLOCK`` or more, and counts one rmq per range it searches.
+of ``BLOCK`` or more.  It counts one rmq per split a probe takes, a
+one-position range read, and one per range whose probe fails.
 """
 
 from __future__ import annotations
@@ -346,15 +350,26 @@ def partition_interval(
     Returns maximal consecutive subintervals covering the range, in order:
     the first starts at ``lo`` and each further start is a position in
     ``(lo..hi]`` whose array value falls below the threshold.  A one-rank
-    range returns at once, with no rmq call.  Otherwise it searches O(k)
-    ranges for k returned parts (at most 2k - 1) in one in-order walk: each
-    split found is stacked with the end of its range while its left side is
-    searched, and popping it closes the current part and opens its right
-    side, so no sort is needed.  Each range's leftmost minimum is read in
-    place, as :meth:`RmqStructure.rmq` reads it: a window narrower than
-    ``BLOCK`` from two window-row answers, ties going left, and a wider one
-    through :meth:`RmqStructure._across_blocks`.  ``stats.rmq_calls`` gains
-    one per range searched.
+    range returns at once, with no rmq call.  Otherwise one in-order walk
+    makes O(k) rmq calls for k returned parts (at most 2k - 1).  It first
+    probes the left end of the range ``s..e`` still to split.  Every split
+    left of ``s`` is taken by then, so a value below the threshold at ``s``
+    is the next split: the walk closes the current part there and goes on
+    with ``s + 1..e``, reading no window row.  When the probe fails, a
+    range wider than one position is searched: its leftmost minimum is read
+    in place, as :meth:`RmqStructure.rmq` reads it, from two window-row
+    answers, ties going left, below ``BLOCK`` and through
+    :meth:`RmqStructure._across_blocks` from there on.  A split found is
+    stacked with ``e`` while its left side is walked, and popping it closes
+    the current part and opens its right side, so no sort is needed.
+
+    ``stats.rmq_calls`` gains one per split a probe takes and one per range
+    whose probe fails.  That is the count of one search per range: each
+    split is found once, by a probe or a search, and each nonempty stretch
+    between splits is probed and searched once and holds none.  A failed
+    probe is one read, paid once per counted range, so the probes add at
+    most one read per rmq call and the O(k) bound holds: a range with no
+    split costs one read more than a search of it.
     """
     if threshold < 1 or not 1 <= lo <= hi <= struct.n:
         raise InvalidRangeError(
@@ -367,32 +382,38 @@ def partition_interval(
     across = struct._across_blocks
     parts = []
     start = lo
-    searched = 0
+    calls = 0
     s = lo + 1
     e = hi
     # ``(p, e)``: a split at ``p`` whose right side ``p + 1 .. e`` is still
-    # to be searched once every split left of it has been found.
+    # to be walked once every split left of it has been taken.
     splits: list[tuple[int, int]] = []
     while True:
         if s <= e:
-            searched += 1
-            w = e - s + 1
-            if w == 1:
-                p = s
-            elif w < BLOCK:
-                k = w.bit_length() - 1
-                row = rows[k]
-                p = s + row[s]
-                b = e + 1 - (1 << k)
-                q = b + row[b]
-                if array[q] < array[p]:
-                    p = q
-            else:
-                p = across(s, e)
-            if array[p] < threshold:
-                splits.append((p, e))
-                e = p - 1
+            calls += 1
+            if array[s] < threshold:
+                # Every split left of s is taken, so s is the next one.
+                parts.append((start, s - 1))
+                start = s
+                s += 1
                 continue
+            # A one-position range is answered by the failed probe alone.
+            if s < e:
+                w = e - s + 1
+                if w < BLOCK:
+                    k = w.bit_length() - 1
+                    row = rows[k]
+                    p = s + row[s]
+                    b = e + 1 - (1 << k)
+                    q = b + row[b]
+                    if array[q] < array[p]:
+                        p = q
+                else:
+                    p = across(s, e)
+                if array[p] < threshold:
+                    splits.append((p, e))
+                    e = p - 1
+                    continue
         if not splits:
             break
         p, e = splits.pop()
@@ -401,5 +422,5 @@ def partition_interval(
         s = p + 1
     parts.append((start, hi))
     if stats is not None:
-        stats.rmq_calls += searched
+        stats.rmq_calls += calls
     return parts

@@ -420,6 +420,42 @@ def test_partition_across_many_blocks():
                         assert stats.rmq_calls == calls, (lo, hi, threshold)
 
 
+def test_partition_takes_each_left_end_split_with_one_read():
+    # Where every interior value is below the threshold, each split is the
+    # left end of the range still to walk, and the walk takes it with one
+    # array read and no window-row search: 199 reads at width 200, where a
+    # search per split reads three.  Where none is, the walk reads the
+    # range's left end once beyond one search of it, whose reads are those
+    # of RmqStructure.rmq and one more to compare the minimum.  Both give
+    # the reference's parts and rmq count.
+    rng = random.Random(31)
+    n = 3 * BLOCK + 5
+    below = CountingList([0] + [rng.randint(0, 2) for _ in range(n)])
+    above = CountingList([0] + [rng.randint(3, 9) for _ in range(n)])
+    widths = (1, 2, 3, 200, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7, n)
+    for array in (below, above):
+        s = RmqStructure(array)
+        for width in widths:
+            for lo in {1, 2, BLOCK - 3, n + 1 - width}:
+                hi = lo + width - 1
+                if not 1 <= lo <= hi <= n:
+                    continue
+                stats = QueryStats()
+                array.reads = 0
+                got = partition_interval(s, lo, hi, 3, stats)
+                reads = array.reads
+                ref, calls = naive.counted_partition_reference(array, lo, hi, 3)
+                assert got == ref, (lo, hi)
+                assert stats.rmq_calls == calls, (lo, hi)
+                if array is below or lo == hi:
+                    assert reads == width - 1, (lo, hi, reads)
+                else:
+                    array.reads = 0
+                    s.rmq(lo + 1, hi)
+                    search = array.reads + 1
+                    assert reads <= search + 1, (lo, hi, reads, search)
+
+
 def test_partition_validation(lcp_struct):
     with pytest.raises(InvalidRangeError):
         partition_interval(lcp_struct, 5, 4, 2)
