@@ -271,11 +271,9 @@ def query(
     fwd_sa = ix.fwd.sa
     rmq_fwd = ix.rmq_fwd
     for part in parts:
-        # Where the run's left context begins, one counted access; at 0 or
-        # below it crosses the text start and comes from padding.
+        # Where the run's left context begins; at 0 or below it crosses the
+        # text start and comes from padding.
         start = n - rev_sa[part[0]] - t + 1
-        if stats is not None:
-            stats.sa_accesses += 1
         if start <= 0:
             ds, de, p_offset = emit_boundary_context(ix, part, start + ell, stats)
         else:
@@ -287,8 +285,6 @@ def query(
         pieces = ((ds, de),) if ds == de else partition_interval(
             rmq_fwd, ds, de, depth, stats)
         for sub_lo, sub_hi in pieces:
-            if stats is not None:
-                stats.sa_accesses += 1
             pos = fwd_sa[sub_lo] + p_offset
             match = _new_object(ContextMatch)
             _set_context(match, extract_context(ix, pos, m, ell))
@@ -298,6 +294,10 @@ def query(
             _set_rep_position(match, pos)
             _set_p_offset(match, p_offset)
             out.append(match)
+    if stats is not None:
+        # One suffix-array read per part, for its left context's start, and
+        # one per context, for its representative position.
+        stats.sa_accesses += len(parts) + len(out)
     return out
 
 

@@ -155,12 +155,18 @@ def _read_exact(source: BinaryIO, size: int, what: str) -> np.ndarray:
     tracemalloc).  A short read is followed by another until the stream
     ends.  No read asks for more than ``_READ_PIECE`` bytes, so memory grows
     only with the bytes present.
+
+    The resize skips numpy's reference check, which refuses whenever a
+    trace or profile hook is set: the hook's frame locals hold one more
+    reference to ``data``.  Skipping it is safe, as no view of ``data``
+    outlives its ``readinto``, and a hook holds only the array object,
+    whose data pointer the resize updates.
     """
     data = np.empty(min(size, _READ_PIECE), np.uint8)
     got = 0
     while got < size:
         if got == len(data):
-            data.resize(min(size, got + _READ_PIECE))
+            data.resize(min(size, got + _READ_PIECE), refcheck=False)
         read = source.readinto(data[got:])
         if not read:
             raise CorruptSectionError(f"truncated stream while reading {what}")

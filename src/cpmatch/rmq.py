@@ -26,8 +26,10 @@ position, which the walk reaches only once every split left of it is
 taken: a value below the threshold there is the next split, taken with
 that one read.  Otherwise it reads the range's minimum itself, from the
 window rows as :meth:`RmqStructure.rmq` does or across blocks for a range
-of ``BLOCK`` or more.  It counts one rmq per split a probe takes, a
-one-position range read, and one per range whose probe fails.
+of ``BLOCK`` or more, and a split found there sends the walk on past the
+failed left end.  It counts ``len(parts) - 1 + sum(a < b for a, b in
+parts)`` rmq calls, one per split and one per stretch between splits, as
+if a search had found every split; its own reads may be fewer.
 """
 
 from __future__ import annotations
@@ -359,17 +361,18 @@ def partition_interval(
     range wider than one position is searched: its leftmost minimum is read
     in place, as :meth:`RmqStructure.rmq` reads it, from two window-row
     answers, ties going left, below ``BLOCK`` and through
-    :meth:`RmqStructure._across_blocks` from there on.  A split found is
-    stacked with ``e`` while its left side is walked, and popping it closes
-    the current part and opens its right side, so no sort is needed.
+    :meth:`RmqStructure._across_blocks` from there on.  A split ``p`` found
+    is stacked with ``e`` while its left side is walked from ``s + 1``, as
+    ``s`` has just failed its probe, and popping it closes the current part
+    and opens its right side, so no sort is needed.
 
-    ``stats.rmq_calls`` gains one per split a probe takes and one per range
-    whose probe fails.  That is the count of one search per range: each
-    split is found once, by a probe or a search, and each nonempty stretch
-    between splits is probed and searched once and holds none.  A failed
-    probe is one read, paid once per counted range, so the probes add at
-    most one read per rmq call and the O(k) bound holds: a range with no
-    split costs one read more than a search of it.
+    ``stats.rmq_calls`` gains ``len(parts) - 1 + sum(a < b for a, b in
+    parts)``, once: the count of a search that finds each split with one
+    call and spends one more on each nonempty stretch between splits.  The
+    walk's own reads may be fewer, as a probe takes a split with one read
+    and no probe repeats.  A failed probe is one read before a search, so
+    the probes add at most one read per counted call and the O(k) bound
+    holds: a range with no split costs one read more than a search of it.
     """
     if threshold < 1 or not 1 <= lo <= hi <= struct.n:
         raise InvalidRangeError(
@@ -382,7 +385,6 @@ def partition_interval(
     across = struct._across_blocks
     parts = []
     start = lo
-    calls = 0
     s = lo + 1
     e = hi
     # ``(p, e)``: a split at ``p`` whose right side ``p + 1 .. e`` is still
@@ -390,7 +392,6 @@ def partition_interval(
     splits: list[tuple[int, int]] = []
     while True:
         if s <= e:
-            calls += 1
             if array[s] < threshold:
                 # Every split left of s is taken, so s is the next one.
                 parts.append((start, s - 1))
@@ -412,6 +413,8 @@ def partition_interval(
                     p = across(s, e)
                 if array[p] < threshold:
                     splits.append((p, e))
+                    # s has just failed its probe, so p's left side starts past it.
+                    s += 1
                     e = p - 1
                     continue
         if not splits:
@@ -422,5 +425,5 @@ def partition_interval(
         s = p + 1
     parts.append((start, hi))
     if stats is not None:
-        stats.rmq_calls += calls
+        stats.rmq_calls += len(parts) - 1 + sum([a < b for a, b in parts])
     return parts

@@ -3,6 +3,7 @@ import io
 import itertools
 import random
 import struct
+import sys
 import tracemalloc
 from array import array
 
@@ -548,6 +549,25 @@ def test_multi_piece_sections_are_held_once(index_2_16, monkeypatch, tmp_path):
     data, peak, _ = traced_peak(lambda: persistence._read_exact(source, size, "x"))
     assert len(data) == size
     assert peak <= 1.25 * size
+
+
+def test_multi_piece_load_under_a_profile_hook(index_2_16, monkeypatch):
+    # A trace or profile hook, as cProfile, pdb and coverage set, holds one
+    # more reference to the growing section buffer through its frame's
+    # locals, which numpy's reference check on resize would refuse.  A
+    # no-op hook is set unless one already is (cProfile's cannot be set
+    # again through sys.setprofile).
+    monkeypatch.setattr(persistence, "_READ_PIECE", 4096)
+    blob = save_bytes(index_2_16)
+    hooked = sys.getprofile() is not None
+    if not hooked:
+        sys.setprofile(lambda *args: None)
+    try:
+        ix = load_index(io.BytesIO(blob))
+    finally:
+        if not hooked:
+            sys.setprofile(None)
+    assert save_bytes(ix) == blob
 
 
 class Trickle(io.BytesIO):

@@ -456,6 +456,29 @@ def test_partition_takes_each_left_end_split_with_one_read():
                     assert reads <= search + 1, (lo, hi, reads, search)
 
 
+@pytest.mark.parametrize("period, n, reads", [(3, 180, 299), (2, 120, 237)])
+def test_partition_probes_no_position_twice(period, n, reads):
+    # Values below the threshold at every multiple of the period.  Each
+    # split but the first is found by a search of a range whose left end
+    # has just failed its probe: one read for the probe, and three for the
+    # search, the values at its two window-row answers and the minimum's
+    # once more.  The walk then goes on past that left end, so it probes
+    # the period - 2 positions left of the split once each and the failed
+    # left end never again: 5 reads per split at period 3 and 4 at period 2,
+    # 4 + 59 * 5 and 1 + 59 * 4 with the first split (a walk that probes
+    # the failed left end again reads 477 and 296).
+    array = CountingList([0] + [1 if i % period == 0 else 9 for i in range(1, n + 1)])
+    s = RmqStructure(array)
+    stats = QueryStats()
+    array.reads = 0
+    got = partition_interval(s, 1, n, 3, stats)
+    assert array.reads == reads
+    ref, calls = naive.counted_partition_reference(array, 1, n, 3)
+    assert len(got) == n // period + 1
+    assert got == ref
+    assert stats.rmq_calls == calls
+
+
 def test_partition_validation(lcp_struct):
     with pytest.raises(InvalidRangeError):
         partition_interval(lcp_struct, 5, 4, 2)
