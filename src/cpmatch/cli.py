@@ -202,12 +202,19 @@ def _check_ell_fits(ell: int, n: int) -> None:
         raise UsageError(f"context length {ell} exceeds the text length {n}")
 
 
+def _timed_load(path: str) -> tuple[CpmIndex, float]:
+    """The index saved at ``path`` and the seconds its verified load took."""
+    t0 = time.perf_counter()
+    with open(path, "rb") as fh:
+        ix = load_index(fh)
+    return ix, time.perf_counter() - t0
+
+
 def cmd_query(args: argparse.Namespace) -> int:
     # The argument's own bytes: UTF-8 text matches as UTF-8.
     pattern_text = os.fsencode(args.pattern).decode("latin-1")
     pattern = _checked_query(pattern_text, args.context)
-    with open(args.index, "rb") as fh:
-        ix = load_index(fh)
+    ix, load_s = _timed_load(args.index)
     _check_ell_fits(args.context, ix.text.n)
     codes = encode_pattern(ix.text, pattern)
     strategy = MappingStrategy(args.strategy)
@@ -221,7 +228,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     for match in matches:
         _emit_match(args, ix, match)
     if stats is not None:
-        _log_line({**asdict(stats), "contexts": len(matches), "wall_s": wall_s})
+        _log_line({
+            **asdict(stats), "contexts": len(matches), "wall_s": wall_s, "load_s": load_s,
+        })
     return 0
 
 
@@ -308,8 +317,7 @@ def _read_pattern_file(path: str, t: Text) -> list[tuple[list[int], int]]:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.random is not None and args.random < 0:
         raise UsageError("--random must be >= 0")
-    with open(args.index, "rb") as fh:
-        ix = load_index(fh)
+    ix, load_s = _timed_load(args.index)
     if args.patterns is not None:
         queries = _read_pattern_file(args.patterns, ix.text)
     else:
@@ -325,7 +333,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with open(args.csv, "w", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(
-            ["m", "ell", "c", "occ", "wall_s", *counters, "r", "r_rev", "r_max", "n"]
+            ["m", "ell", "c", "occ", "wall_s", *counters, "r", "r_rev", "r_max", "n",
+             "load_s"]
         )
         for codes, ell in queries:
             stats = QueryStats()
@@ -337,7 +346,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     len(codes), ell, len(matches),
                     sum(m.count for m in matches), f"{dt:.6f}",
                     *astuple(stats),
-                    r, r_rev, r_max, n,
+                    r, r_rev, r_max, n, f"{load_s:.6f}",
                 ]
             )
     return 0

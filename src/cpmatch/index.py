@@ -11,13 +11,16 @@ end are padded with terminators.  The index answers it in five moves:
 3. map each run onto the forward suffix array interval of suffixes starting
    with ``X P``, either by anchoring one suffix and extending it with
    threshold scans over the LCP array (skipped on a side whose neighbouring
-   LCP entry already falls below ``m + ell``, so a singleton context costs
-   no scan), or by a range minimum over a precomputed rank-translation
-   array;
+   LCP entry already falls below ``m + ell``), or by a range minimum over a
+   precomputed rank-translation array; under either strategy a one-rank
+   run maps straight to the rank of the suffix starting at its context,
+   with no scan and no range minimum;
 4. split each forward interval at depth ``m + 2*ell``, one piece per
    distinct right context ``Y`` (a one-rank interval is its own piece and
    is not split);
-5. report every piece with its count and a representative occurrence.
+5. report every piece with its count and a representative occurrence,
+   building every match at one site once steps 3 and 4 have listed all
+   pieces.
 
 A run whose left context crosses the text start is a singleton (the
 terminator occurs at exactly one position).  :func:`query` reads each
@@ -172,11 +175,14 @@ def map_via_psv_nsv(
     widens to every suffix sharing its first ``t`` symbols using threshold
     scans over the forward LCP array.  A side is scanned only when the LCP
     entry next to the anchor reaches ``t``; otherwise the anchor is that end
-    of the interval, read in O(1).  Returns the interval ``(ds, de)``.
+    of the interval, read in O(1).  A one-rank run is the anchor alone, and
+    reads no LCP entry.  Returns the interval ``(ds, de)``.
     """
     if stats is not None:
         stats.sa_accesses += 1
     p = ix.isa[start]
+    if part[0] == part[1]:
+        return p, p
     lcp = ix.fwd.lcp
     ds = p if lcp[p] < t else ix.rmq_fwd.psv(p, t, stats)
     if p == ix.text.n or lcp[p + 1] < t:
@@ -199,13 +205,22 @@ def map_via_cmin(
     included, but reads the context start of the run element minimizing
     ``c_array`` instead: that element owns the lexicographically smallest
     forward suffix of the interval, so one range minimum plus one inverse
-    lookup yields the start; the size carries over unchanged.
+    lookup yields the start; the size carries over unchanged.  A one-rank
+    run is its own minimum: it maps to ``isa[start]`` without a search,
+    but counts the range minimum and the two reads that the search makes.
     """
-    i_min = ix.rmq_c.rmq(part[0], part[1], stats)
+    lo, hi = part
+    if lo == hi:
+        if stats is not None:
+            stats.rmq_calls += 1
+            stats.sa_accesses += 2
+        ds = ix.isa[start]
+        return ds, ds
+    i_min = ix.rmq_c.rmq(lo, hi, stats)
     if stats is not None:
         stats.sa_accesses += 2
     ds = ix.isa[ix.text.n - ix.rev.sa[i_min] - t + 1]
-    return ds, ds + (part[1] - part[0])
+    return ds, ds + (hi - lo)
 
 
 def emit_boundary_context(
@@ -264,12 +279,13 @@ def query(
     if trace is not None:
         trace.part_starts = [s for s, _ in parts]
 
-    out: list[ContextMatch] = []
     depth = m + 2 * ell
     n = ix.text.n
     rev_sa = ix.rev.sa
-    fwd_sa = ix.fwd.sa
     rmq_fwd = ix.rmq_fwd
+    # Steps 3 and 4: every piece as (lo, hi, p_offset), in answer order.
+    pieces: list[tuple[int, int, int]] = []
+    add_piece = pieces.append
     for part in parts:
         # Where the run's left context begins; at 0 or below it crosses the
         # text start and comes from padding.
@@ -281,19 +297,27 @@ def query(
             p_offset = ell
         if trace is not None:
             trace.mapped_ranges.append((ds, de))
-        # One rank is one piece; splitting it would make no counted call.
-        pieces = ((ds, de),) if ds == de else partition_interval(
-            rmq_fwd, ds, de, depth, stats)
-        for sub_lo, sub_hi in pieces:
-            pos = fwd_sa[sub_lo] + p_offset
-            match = _new_object(ContextMatch)
-            _set_context(match, extract_context(ix, pos, m, ell))
-            _set_ds(match, sub_lo)
-            _set_de(match, sub_hi)
-            _set_count(match, sub_hi - sub_lo + 1)
-            _set_rep_position(match, pos)
-            _set_p_offset(match, p_offset)
-            out.append(match)
+        if ds == de:
+            # One rank is one piece; splitting it would make no counted call.
+            add_piece((ds, de, p_offset))
+        else:
+            for lo, hi in partition_interval(rmq_fwd, ds, de, depth, stats):
+                add_piece((lo, hi, p_offset))
+
+    # Step 5: one match per piece.
+    out: list[ContextMatch] = []
+    add = out.append
+    fwd_sa = ix.fwd.sa
+    for lo, hi, p_offset in pieces:
+        pos = fwd_sa[lo] + p_offset
+        match = _new_object(ContextMatch)
+        _set_context(match, extract_context(ix, pos, m, ell))
+        _set_ds(match, lo)
+        _set_de(match, hi)
+        _set_count(match, hi - lo + 1)
+        _set_rep_position(match, pos)
+        _set_p_offset(match, p_offset)
+        add(match)
     if stats is not None:
         # One suffix-array read per part, for its left context's start, and
         # one per context, for its representative position.

@@ -340,9 +340,11 @@ def test_query_stats(alabar_files, capsys):
         record = json.loads(lines[0])
         assert list(record) == [
             "rmq_calls", "psv_calls", "nsv_calls", "sa_accesses", "contexts", "wall_s",
+            "load_s",
         ]
+        assert record["load_s"] > 0
         if pattern == "a":  # the README's example
-            del record["wall_s"]
+            del record["wall_s"], record["load_s"]
             assert record == {
                 "rmq_calls": 9, "psv_calls": 0, "nsv_calls": 2, "sa_accesses": 26,
                 "contexts": 6,
@@ -503,11 +505,12 @@ def test_bench_random(alabar_files, tmp_path, capsys):
     assert rows[0] == [
         "m", "ell", "c", "occ", "wall_s",
         "rmq_calls", "psv_calls", "nsv_calls", "sa_accesses",
-        "r", "r_rev", "r_max", "n",
+        "r", "r_rev", "r_max", "n", "load_s",
     ]
     assert len(rows) == 31
     for row in rows[1:]:
-        assert len(row) == 13
+        assert len(row) == 14
+        assert float(row[13]) > 0 and row[13] == rows[1][13]
         m, ell, c, occ = map(int, row[:4])
         rmq, psv, nsv, sa_accesses = map(int, row[5:9])
         assert occ >= c >= 0

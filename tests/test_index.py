@@ -173,18 +173,49 @@ def test_map_via_psv_nsv_examples(alabar_index):
     # Pattern "a", ell 1: the runs of "la" and "ba" start their left
     # contexts at positions 2 and 4; the anchor read is one counted access.
     # The run (2, 2) of "$a" crosses the text start and reaches no mapper:
-    # test_emit_boundary_example and test_query_a_ell1 cover it.
+    # test_emit_boundary_example and test_query_a_ell1 cover it.  The
+    # one-rank run of "ra" is its own anchor: it reads no forward LCP entry.
+    reads = []
+
+    class CountingLcp:
+        def __init__(self, values):
+            self.values = values
+
+        def __getitem__(self, i):
+            reads.append(i)
+            return self.values[i]
+
+    ix = dataclasses.replace(
+        alabar_index,
+        fwd=dataclasses.replace(alabar_index.fwd, lcp=CountingLcp(alabar_index.fwd.lcp)),
+    )
     stats = QueryStats()
-    assert map_via_psv_nsv(alabar_index, (6, 8), 2, 2, stats) == (13, 15)
-    assert map_via_psv_nsv(alabar_index, (3, 4), 4, 2, stats) == (10, 11)
-    assert stats.sa_accesses == 2
+    assert map_via_psv_nsv(ix, (6, 8), 2, 2, stats) == (13, 15)
+    assert map_via_psv_nsv(ix, (3, 4), 4, 2, stats) == (10, 11)
+    assert reads
+    reads.clear()
+    assert map_via_psv_nsv(ix, (9, 9), 6, 2, stats) == (16, 16)
+    assert reads == []
+    assert stats.sa_accesses == 3
 
 
-def test_map_via_cmin_examples(alabar_index):
-    # The runs of "ba" and "ra"; each maps with two counted accesses.
+def test_map_via_cmin_examples(alabar_index, monkeypatch):
+    # The runs of "ba" and "ra"; each maps with two counted accesses and
+    # one counted range minimum.  The one-rank run of "ra" is its own range
+    # minimum and makes no rmq call.
+    searched = []
+    rmq = RmqStructure.rmq
+
+    def spy(struct, i, j, stats=None):
+        searched.append((i, j))
+        return rmq(struct, i, j, stats)
+
+    monkeypatch.setattr(RmqStructure, "rmq", spy)
     stats = QueryStats()
     assert map_via_cmin(alabar_index, (3, 4), 4, 2, stats) == (10, 11)
     assert map_via_cmin(alabar_index, (9, 9), 6, 2, stats) == (16, 16)
+    assert searched == [(3, 4)]
+    assert stats.rmq_calls == 2
     assert stats.sa_accesses == 4
 
 
@@ -326,19 +357,36 @@ def test_cross_block_query_counts(monkeypatch):
 
 def test_one_rank_intervals_are_not_partitioned(monkeypatch):
     # On a uniform sigma = 26 text nearly every forward interval is one
-    # rank.  Those are reported without a partition call, and the totals of
-    # every pattern of 1-2 symbols with ell 0-3 are the ones counted when
-    # every forward interval went through partition_interval.
+    # rank.  Those are reported without a partition call, a one-rank run
+    # maps without a range minimum over c_array, and the totals of every
+    # pattern of 1-2 symbols with ell 0-3 are the ones counted when every
+    # forward interval went through partition_interval and every cmin run
+    # through RmqStructure.rmq.
     ix = build_index(load_text(generate_repetitive(5000, 0, 0.0, 1, sigma=26)))
     forward = []
     partition = index.partition_interval
+    searched = []
+    rmq = RmqStructure.rmq
+    runs = []
+    cmin = index.map_via_cmin
 
     def recorded(struct, lo, hi, threshold, stats=None):
         if struct is ix.rmq_fwd:
             forward.append((lo, hi))
         return partition(struct, lo, hi, threshold, stats)
 
+    def spy(struct, i, j, stats=None):
+        if struct is ix.rmq_c:
+            searched.append((i, j))
+        return rmq(struct, i, j, stats)
+
+    def mapped(mapped_ix, part, start, t, stats=None):
+        runs.append(part)
+        return cmin(mapped_ix, part, start, t, stats)
+
     monkeypatch.setattr(index, "partition_interval", recorded)
+    monkeypatch.setattr(RmqStructure, "rmq", spy)
+    monkeypatch.setattr(index, "map_via_cmin", mapped)
     totals = {}
     for strategy in MappingStrategy:
         stats = QueryStats()
@@ -353,6 +401,8 @@ def test_one_rank_intervals_are_not_partitioned(monkeypatch):
         MappingStrategy.CMIN: (56123, 0, 0, 173144),
     }
     assert forward and all(lo < hi for lo, hi in forward)
+    assert searched == [(lo, hi) for lo, hi in runs if lo < hi]
+    assert len(searched) < len(runs)
 
 
 def test_enumerate_occurrences_examples(alabar_index):
