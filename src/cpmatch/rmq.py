@@ -1,24 +1,28 @@
 """Range-minimum queries, threshold scans, and interval partitioning.
 
 All structures here operate on frozen 1-based integer arrays (slot 0 is
-padding).  :func:`pack` gives the index's base arrays and the block table's
-rows their one representation: a packed ``array('i')`` of 4-byte integers,
-``'q'`` only when n >= 2**31.
+padding).  :func:`pack` gives the index's base arrays and each block's
+leftmost-minimum position their one representation: a packed
+``array('i')`` of 4-byte integers, ``'q'`` only when n >= 2**31.
 
-The range-minimum structure has two levels (Bender & Farach-Colton, LATIN
-2000).  For windows narrower than :data:`BLOCK` it keeps one row of 1-byte
-offsets per power-of-two width from 2 to 128, about 7 bytes per element in
-all.  Above them it keeps the leftmost minimum of every ``BLOCK``-wide block
-and one sparse table of positions over the blocks, about
-``4 * (n / 256) * log2(n / 256)`` bytes.  Values are read through the base
-array.  It answers range minima in O(1).  Previous- and next-smaller-value
-queries are one threshold scan in two directions: it gallops outward from
-its anchor over windows of doubling width and halves back, one range
-minimum per step, so an answer ``gap`` positions away costs O(log gap)
-steps at every distance.  Both levels are built row by row from contiguous
-slices of the previous row's answers and minima, in O(n) array work, with
-each answer selected by arithmetic rather than by ``np.where``, which costs
-10-30x an element-wise op on a data-dependent mask.
+The range-minimum structure is one kind of table at every level (after
+Bender & Farach-Colton, LATIN 2000).  For windows narrower than
+:data:`BLOCK` it keeps one row of 1-byte offsets per power-of-two width
+from 2 to 128, about 7 bytes per element in all.  Above them it keeps the
+position of the leftmost minimum of every ``BLOCK``-wide block and the same
+structure again over those blocks' minima, 8-byte values, until a level
+has fewer than ``BLOCK`` entries: ``ceil(log_256 n)`` levels, at most 4 for
+n < 2**32, and about 7.07 bytes per element in all.  Values are read
+through the base array.  A range minimum reads at most four window-row
+answers per level, so it costs O(log_256 n) steps, a constant for any n
+below 2**32.  Previous- and next-smaller-value queries are one threshold
+scan in two directions: it gallops outward from its anchor over windows of
+doubling width and halves back, one range minimum per step, so an answer
+``gap`` positions away costs O(log gap) steps at every distance.  The
+window rows are built row by row from contiguous slices of the previous
+row's answers and minima, in O(n) array work, with each answer selected by
+arithmetic rather than by ``np.where``, which costs 10-30x an element-wise
+op on a data-dependent mask.
 
 Interval partitioning splits a range at every value below a threshold in
 one in-order walk.  Before it searches a range it probes the range's first
@@ -94,24 +98,23 @@ _LEFT = (tuple(1 - (1 << k) for k in range(64)), (-1,) * 64)
 _RIGHT = ((0,) * 64, tuple(1 << k for k in range(64)))
 
 
-def _doubling(row: np.ndarray, minima: np.ndarray, levels: int, relative: bool):
-    """Yield rows 1..``levels`` of a leftmost-minimum sparse table.
+def _doubling(row: np.ndarray, minima: np.ndarray, levels: int):
+    """Yield window rows 1..``levels`` of a leftmost-minimum sparse table.
 
-    ``row`` is row 0, the answer for each single entry of ``minima``.  Row
-    ``k`` comes from row ``k - 1`` and the minima at its answers, which are
-    kept beside it: two contiguous slices of each, with no value gathered
-    through the base array.  A ``relative`` row holds each answer as its
-    distance from the window's start, so answers taken from the right half
-    gain the half's width.
+    ``row`` is row 0, all zeros, the offset of each single entry of
+    ``minima`` from itself.  Row ``k`` holds each answer as its distance
+    from the window's start, and comes from row ``k - 1`` and the minima at
+    its answers, which are kept beside it: two contiguous slices of each,
+    with no value gathered through the base array.  Answers taken from the
+    right half gain the half's width.
 
     Each answer is selected by arithmetic, ``base + take_right * (shifted -
     base)``, in place on the one new row, and each minimum by
     ``np.minimum``.  A select through ``np.where`` on a mask this close to
     random measured 10-30x the time of one element-wise op at n = 2*10^5.
-    The arithmetic is exact: a relative row's entries at level ``k - 1``
-    are below ``half``, so ``shifted - base`` lies in ``1..2**k - 1`` and
-    never wraps a byte, and a right half's positions always exceed the
-    left's.  The stored rows equal those of a select, byte for byte.
+    The arithmetic is exact: a row's entries at level ``k - 1`` are below
+    ``half``, so ``shifted - base`` lies in ``1..2**k - 1`` and never wraps
+    a byte.  The stored rows equal those of a select, byte for byte.
     """
     for k in range(1, levels + 1):
         half = 1 << (k - 1)
@@ -121,11 +124,8 @@ def _doubling(row: np.ndarray, minima: np.ndarray, levels: int, relative: bool):
         # Ties keep the left half, so every answer stays leftmost.
         take_right = right < left
         base = row[:span]
-        if relative:
-            row = row[half:] + half
-            row -= base
-        else:
-            row = row[half:] - base
+        row = row[half:] + half
+        row -= base
         row *= take_right
         row += base
         minima = np.minimum(left, right)
@@ -133,29 +133,33 @@ def _doubling(row: np.ndarray, minima: np.ndarray, levels: int, relative: bool):
 
 
 class RmqStructure:
-    """Two-level range minimum over a frozen 1-based integer array.
+    """Range minimum over a frozen 1-based integer array, one level of many.
 
     Window row ``k`` (1..7) holds at index ``s`` the offset, from ``s``, of
     the leftmost minimum of ``array[s..s + 2**k - 1]``, one byte each; row 0
     would be all zeros and is not stored.  Block ``b`` covers positions
-    ``256 * b + 1 .. 256 * (b + 1)`` (the last block may be shorter).  Block
-    row ``k`` holds at index ``b`` the position of the leftmost minimum of
-    blocks ``b .. b + 2**k - 1``, packed as 4-byte integers (8-byte when
-    n >= 2**31); row 0 is each block's own minimum.  Values are read through
-    ``array`` itself, which is kept by reference and must not change
+    ``256 * b + 1 .. 256 * (b + 1)`` (the last block may be shorter), and
+    ``_heads[b + 1]`` holds the position of its leftmost minimum, packed as
+    4-byte integers (8-byte when n >= 2**31).  From one whole block on,
+    ``_top`` is the same structure over the blocks' minimum values, packed
+    as 8-byte integers at its positions ``b + 1``; below that it is None.
+    So ``ceil(log_256 n)`` levels hold the whole structure.  Values are read
+    through ``array`` itself, which is kept by reference and must not change
     afterwards.  Ties resolve to the leftmost position so every answer is
     deterministic.
     """
 
     def __init__(self, array: Sequence[int]):
-        """Build both levels in O(n) array work.
+        """Build every level in O(n) array work.
 
         The window rows are built over the values with the padding slot
         included, so that a row's index is its window's start.  Each block's
-        minimum is one ``argmin`` over a reshaped view.  Over 4-byte values
-        at n = 200,001 the build keeps 7.15 bytes per entry and peaks 10.9
-        above that while a window row is made: two 4-byte minima arrays,
-        the one-byte ``take_right`` mask and two one-byte row copies.
+        minimum is one ``argmin`` over a reshaped view, and the next level
+        is built over ``n / 256`` of them.  Over 4-byte values at
+        n = 200,001 the build keeps 7.09 bytes per entry (7.07 in the
+        tables' buffers) and peaks 10.9 above that while a window row of
+        the first level is made: two 4-byte minima arrays, the one-byte
+        ``take_right`` mask and two one-byte row copies.
         """
         n = len(array) - 1
         if n < 1:
@@ -164,23 +168,24 @@ class RmqStructure:
         self.n = n
         values = np.asarray(array)
         levels = min(_WINDOW_LEVELS, n.bit_length() - 1)
-        rows = _doubling(np.zeros(n + 1, np.uint8), values, levels, relative=True)
+        rows = _doubling(np.zeros(n + 1, np.uint8), values, levels)
         self._rows = [None, *(_filled("B", row) for row in rows)]
         full = n >> 8
         heads = np.arange(1, n + 1, BLOCK)
         heads[:full] += values[1:(full << 8) + 1].reshape(full, BLOCK).argmin(axis=1)
         if full < len(heads):
             heads[full] += values[heads[full]:].argmin()
-        levels = len(heads).bit_length() - 1
-        rows = _doubling(heads, values[heads], levels, relative=False)
-        self._blocks = [pack(heads, n), *(pack(row, n) for row in rows)]
+        self._heads = pack(heads, n, pad=1)
+        self._top = RmqStructure(_filled("q", values[heads], pad=1)) if full else None
 
     def range_minima(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Minimum of ``array[lo[x]..hi[x]]`` for every ``x``, uncounted.
 
         Every range must satisfy ``1 <= lo <= hi <= n``.  Its first 255
         positions, and for a wider range its last 255 and the whole blocks
-        between, cover it.  Each row is read in place, with no copy.
+        between, cover it.  The whole blocks of every range that has any
+        are read by one ``range_minima`` of the next level.  Each row is
+        read in place, with no copy.
         """
         values = np.asarray(self.array)
         out = self._window_minima(values, lo, np.minimum(hi, lo + (BLOCK - 2)))
@@ -194,18 +199,10 @@ class RmqStructure:
             first = (a + (BLOCK - 2)) >> 8
             last = (b >> 8) - 1
             inner = np.flatnonzero(first <= last)
-            first = first[inner]
-            last = last[inner]
-            level = np.frexp(last - first + 1)[1] - 1
-            middle = np.empty(len(inner), dtype=values.dtype)
-            for k in range(int(level.max(initial=0)) + 1):
-                sel = np.flatnonzero(level == k)
-                row = np.asarray(self._blocks[k])
-                middle[sel] = np.minimum(
-                    values[row[first[sel]]], values[row[last[sel] + 1 - (1 << k)]]
-                )
-            wide = wide[inner]
-            out[wide] = np.minimum(out[wide], middle)
+            if inner.size:
+                middle = self._top.range_minima(first[inner] + 1, last[inner] + 1)
+                wide = wide[inner]
+                out[wide] = np.minimum(out[wide], middle)
         return out
 
     def _window_minima(
@@ -246,20 +243,18 @@ class RmqStructure:
 
         The split of :meth:`range_minima`: the range's first and last
         ``BLOCK - 1`` positions, each read by an uncounted :meth:`rmq`, and
-        the whole blocks between them through the block table.  The three
-        answers are compared left to right with a strict ``<``, so that ties
-        go left.
+        the whole blocks between them by an uncounted :meth:`rmq` of the
+        next level, whose leftmost minimal block leads to its head.  The
+        three answers are compared left to right with a strict ``<``, so
+        that ties go left.  Each level down holds 256 times fewer entries,
+        so a range reads at most ``ceil(log_256 n)`` levels.
         """
         array = self.array
         best = self.rmq(i, i + (BLOCK - 2))
         first = (i + (BLOCK - 2)) >> 8
         last = (j >> 8) - 1
         if first <= last:
-            k = (last - first + 1).bit_length() - 1
-            row = self._blocks[k]
-            pa = row[first]
-            pb = row[last + 1 - (1 << k)]
-            middle = pb if array[pb] < array[pa] else pa
+            middle = self._heads[self._top.rmq(first + 1, last + 1)]
             if array[middle] < array[best]:
                 best = middle
         right = self.rmq(j - (BLOCK - 2), j)

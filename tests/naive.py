@@ -7,11 +7,12 @@ independent references that are fast enough for texts of 10^4 symbols;
 ``packed_keys`` is its earlier first-sort key packing, one pass per symbol;
 ``loop_pattern_range`` is its earlier pattern-range search, kept to pin
 the number of suffix-array reads; ``where_doubling_reference`` is its
-earlier level step of the range-minimum tables, kept to pin every stored
-row byte for byte; ``sorted_partition_reference`` is its earlier
-sort-based interval partition, kept to pin the parts, their order and the
-number of rmq calls; it is the one reference that calls a structure under
-test, ``RmqStructure.rmq``, so that the calls can be counted alike.
+earlier level step of the range-minimum window rows, kept to pin every
+stored row of every level byte for byte; ``sorted_partition_reference``
+is its earlier sort-based interval partition, kept to pin the parts, their
+order and the number of rmq calls; it is the one reference that calls a
+structure under test, ``RmqStructure.rmq``, so that the calls can be
+counted alike.
 ``counted_partition_reference`` gives the same parts and count with no
 range minimum at all, fast enough for every range of a 300-entry array.
 ``parse_pattern_loop``, ``render_symbols_loop`` and
@@ -168,13 +169,11 @@ def scan_nsv(array: list[int], n: int, p: int, d: int) -> int:
     return n + 1
 
 
-def where_doubling_reference(
-    row: np.ndarray, minima: np.ndarray, levels: int, relative: bool
-):
-    """Rows 1..``levels`` of a leftmost-minimum sparse table, by ``np.where``.
+def where_doubling_reference(row: np.ndarray, minima: np.ndarray, levels: int):
+    """Window rows 1..``levels`` of a leftmost-minimum table, by ``np.where``.
 
-    One compare and two selects per level; a ``relative`` row holds each
-    answer as its distance from the window's start.
+    One compare and two selects per level; a row holds each answer as its
+    distance from the window's start.
     """
     for k in range(1, levels + 1):
         half = 1 << (k - 1)
@@ -182,8 +181,7 @@ def where_doubling_reference(
         left = minima[:span]
         right = minima[half:]
         take_right = right < left
-        shifted = row[half:] + half if relative else row[half:]
-        row = np.where(take_right, shifted, row[:span])
+        row = np.where(take_right, row[half:] + half, row[:span])
         minima = np.where(take_right, right, left)
         yield row
 

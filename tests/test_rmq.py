@@ -197,6 +197,69 @@ def test_multi_block_arrays_match_scans(n):
         assert s.range_minima(lo, hi).tolist() == expected
 
 
+def test_three_levels_match_scans():
+    # n = 2 * 65,536 + 7: 513 blocks, whose minima make a second level of 3
+    # blocks and a third level of 3 entries.  Ranges end at 256- and
+    # 65,536-position edges, one position either side and at random, so
+    # their whole blocks span up to 512 blocks and are read through all
+    # three levels.  The two-valued and all-equal arrays tie almost
+    # everywhere; the sparse array's only low values sit one position
+    # either side of a 65,536-position edge, so a scan finds them at every
+    # distance up to n.  Its least value, left of the first such edge, lies
+    # in the last whole block of ranges that end 255 positions past the
+    # edge, and in the last whole block of blocks of ranges that end one
+    # position before the second, where no piece beside the whole blocks
+    # reaches it.  Every answer and count is the numpy scan's.
+    rng = random.Random(34)
+    big = 1 << 16
+    n = 2 * big + 7
+    sparse = np.full(n + 1, 5)
+    sparse[[big + 1, 2 * big - 1, 2 * big + 1]] = 2
+    sparse[big - 1] = 1
+    # Each array with the rise above its least value of a threshold that
+    # splits it at a few positions, or 0 where every threshold above the
+    # least value splits it at many.
+    arrays = {
+        "random": (np.array([0] + [rng.randint(1, 256) for _ in range(n)]), 1),
+        "two-valued": (np.array([0] + [rng.choice((2, 5)) for _ in range(n)]), 0),
+        "all-equal": (np.full(n + 1, 3), 0),
+        "sparse": (sparse, 2),
+    }
+    edges = [0, n, *(e + side for e in (big, 2 * big) for side in (-BLOCK, 0, BLOCK))]
+    edges += rng.sample(range(BLOCK, n, BLOCK), 6)
+    ends = {e + step for e in edges for step in (-1, 0, 1)}
+    ends = sorted(q for q in ends | set(rng.sample(range(1, n + 1), 6)) if 1 <= q <= n)
+    pairs = [(i, j) for i in ends for j in ends if i <= j]
+    lo, hi = np.array(pairs).T
+    for name, (a, rise) in arrays.items():
+        s = RmqStructure(a)
+        assert s._top._top is not None and s._top._top._top is None
+        for i, j in pairs:
+            assert s.rmq(i, j) == i + np.argmin(a[i:j + 1]), (name, i, j)
+        expected = [a[i:j + 1].min() for i, j in pairs]
+        assert s.range_minima(lo, hi).tolist() == expected, name
+        low, high = a[1:].min(), a[1:].max()
+        for d in {low, low + 1, low + rise, high + 1}:
+            below = np.flatnonzero(a[1:] < d) + 1
+            for p in [0, *ends, n + 1]:
+                left = below[below < p]
+                want = left[-1] if left.size else 0
+                assert p == 0 or s.psv(p, d) == want, (name, p, d)
+                right = below[below > p]
+                want = right[0] if right.size else n + 1
+                assert p > n or s.nsv(p, d) == want, (name, p, d)
+        # A threshold that splits no position, and one that splits a few.
+        for threshold in {low, low + rise}:
+            for i, j in pairs:
+                stats = QueryStats()
+                got = partition_interval(s, i, j, threshold, stats)
+                starts = [i, *(np.flatnonzero(a[i + 1:j + 1] < threshold) + i + 1)]
+                want = list(zip(starts, [q - 1 for q in starts[1:]] + [j]))
+                calls = len(starts) - 1 + sum(e > b for b, e in want)
+                assert got == want, (name, i, j, threshold)
+                assert stats.rmq_calls == calls, (name, i, j, threshold)
+
+
 def test_psv_nsv_every_gap_near_block_edges():
     # One value below the threshold, at every gap 1..600 left and right of
     # anchors on both sides of each block edge and of random anchors: the
@@ -268,9 +331,13 @@ def test_psv_nsv_reads_grow_with_the_gap_not_n():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 255, 256, 257, 5000, 70000])
 def test_table_rows_match_where_reference(n):
-    # Every stored row equals the np.where build's, byte for byte.  The
-    # decreasing array puts each window offset at its largest, 2**k - 1;
-    # the all-equal and two-valued ones make ties that must go left.
+    # At every level, each stored window row equals the np.where build's,
+    # byte for byte, the block heads are each block's leftmost minimum, and
+    # the next level is built over the values at those heads, down to a
+    # level of fewer than 256 entries, which has none.  70000 has three
+    # levels.  The decreasing array puts each window offset at its largest,
+    # 2**k - 1; the all-equal and two-valued ones make ties that must go
+    # left.
     rng = random.Random(n)
     shapes = {
         "decreasing": list(range(n, 0, -1)),
@@ -286,23 +353,26 @@ def test_table_rows_match_where_reference(n):
                 array = packed_array(typecode, array)
             s = RmqStructure(array)
             values = np.asarray(array)
-            levels = min(7, n.bit_length() - 1)
-            rows = naive.where_doubling_reference(
-                np.zeros(n + 1, np.uint8), values, levels, relative=True
-            )
-            want = [row.tobytes() for row in rows]
-            assert [row.tobytes() for row in s._rows[1:]] == want, shape
-            assert all(row.typecode == "B" for row in s._rows[1:])
-            heads = np.array(
-                [b + np.argmin(values[b:b + 256]) for b in range(1, n + 1, 256)]
-            )
-            levels = len(heads).bit_length() - 1
-            rows = naive.where_doubling_reference(
-                heads, values[heads], levels, relative=False
-            )
-            want = [row.astype(np.int32).tobytes() for row in [heads, *rows]]
-            assert [row.tobytes() for row in s._blocks] == want, shape
-            assert all(row.typecode == "i" for row in s._blocks)
+            while True:
+                m = len(values) - 1
+                levels = min(7, m.bit_length() - 1)
+                rows = naive.where_doubling_reference(
+                    np.zeros(m + 1, np.uint8), values, levels
+                )
+                want = [row.tobytes() for row in rows]
+                assert [row.tobytes() for row in s._rows[1:]] == want, shape
+                assert all(row.typecode == "B" for row in s._rows[1:])
+                heads = [b + int(np.argmin(values[b:b + 256]))
+                         for b in range(1, m + 1, 256)]
+                assert s._heads.typecode == "i"
+                assert list(s._heads) == [0, *heads], shape
+                if m < 256:
+                    assert s._top is None
+                    break
+                top = s._top.array
+                assert top.typecode == "q"
+                assert list(top) == [0, *values[heads].tolist()], shape
+                s, values = s._top, np.asarray(top)
 
 
 def test_pack_widens_only_past_four_bytes():
